@@ -1,7 +1,7 @@
 """Deterministic parallel Monte Carlo estimation and hypothesis testing.
 
 The stream for trial k is a counter-based generator keyed by (seed, k), and
-trials are dispatched to workers in fixed-size chunks merged back in trial
+trials are dispatched to workers in contiguous chunks merged back in trial
 order, so every result is bit-identical for a given seed regardless of the
 worker count.  Censored trials (step guard exhausted) are excluded from all
 moments but always counted and reported.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import sqrt
+from math import ceil, sqrt
 
 import numpy as np
 from scipy import stats as sps
@@ -20,6 +20,7 @@ from .exact_walk import exact_stop_steps, walk_diameter_pmf
 from .path_engine import LatticeError, LatticeSpec
 from .q_process import QParams, q_value
 from .stopping_rules import (
+    _MAX_BLOCK,
     Gap,
     StopRule,
     default_max_steps,
@@ -67,8 +68,8 @@ REWARD_NAMES = (
     "terminal_x",
 )
 
-# Trials per worker task; fixed so the trial->chunk assignment (and hence
-# every byte of output) is independent of the worker count.
+# Largest number of trials per task.  Output never depends on the split:
+# each trial's stream is keyed by (seed, trial) alone.
 _CHUNK = 4096
 
 _EXTRACTORS = {
@@ -110,8 +111,42 @@ class RatioReport:
 
 
 def _philox_stream(seed: int, trial: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, trial], dtype=np.uint64)
+    key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _check_trials(n: int, seed: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if seed >= 2**64:
+        # The stream key holds 64 bits; a larger seed would alias a smaller one.
+        raise ValueError(f"seed must be below 2**64, got {seed}")
+
+
+def _trial_task(task):
+    fn, lo, hi, args = task
+    return fn(lo, hi, *args)
+
+
+def _map_trials(fn, n: int, workers: int, *args) -> tuple[np.ndarray, ...]:
+    """Run fn(lo, hi, *args) over trials [0, n); join its arrays in trial order.
+
+    `fn` returns a tuple of arrays indexed by trial along the first axis.
+    Trials are split into equal contiguous chunks of at most _CHUNK, their
+    count a multiple of `workers` so every worker gets the same share.
+    """
+    workers = max(1, workers)
+    parts = workers * ceil(n / (workers * _CHUNK))
+    cuts = [i * n // parts for i in range(parts + 1)]
+    tasks = [(fn, lo, hi, args) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    if workers == 1:
+        results = [_trial_task(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            results = list(pool.map(_trial_task, tasks))
+    return tuple(np.concatenate(arrays) for arrays in zip(*results))
 
 
 def _block_hint(rule: StopRule, spec: LatticeSpec) -> int:
@@ -125,16 +160,16 @@ def _block_hint(rule: StopRule, spec: LatticeSpec) -> int:
 
 
 def _run_chunk(
+    lo: int,
+    hi: int,
     rule: StopRule,
     spec: LatticeSpec,
     seed: int,
-    lo: int,
-    hi: int,
     rewards: tuple[str, ...],
     max_steps: int,
     need_drop: bool,
     hint: int,
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     kind, k, klo, khi = rule_units(rule, spec)
     h = spec.h
     tps = spec.time_per_step
@@ -156,11 +191,7 @@ def _run_chunk(
         else:
             for arr in arrays:
                 arr[j] = np.nan
-    return arrays, fired
-
-
-def _chunk_task(args):
-    return _run_chunk(*args)
+    return (fired, *arrays)
 
 
 @dataclass(frozen=True)
@@ -202,31 +233,17 @@ def collect_rewards(
         raise ValueError(f"unknown rewards {unknown}; choose from {REWARD_NAMES}")
     if len(set(rewards)) != len(rewards):
         raise ValueError(f"duplicate reward names in {rewards}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _check_trials(n, seed)
 
     kind, _, _, _ = rule_units(rule, spec)
     if max_steps is None:
         max_steps = default_max_steps(rule, spec)
     need_drop = kind == "dropdd" or "drop_sup" in rewards
     hint = _block_hint(rule, spec)
-    tasks = [
-        (rule, spec, seed, lo, min(lo + _CHUNK, n), rewards, max_steps, need_drop, hint)
-        for lo in range(0, n, _CHUNK)
-    ]
-    if workers <= 1 or len(tasks) == 1:
-        parts = [_chunk_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_chunk_task, tasks))
-
-    values = {
-        name: np.concatenate([p[0][i] for p in parts])
-        for i, name in enumerate(rewards)
-    }
-    fired = np.concatenate([p[1] for p in parts])
+    fired, *arrays = _map_trials(
+        _run_chunk, n, workers, rule, spec, seed, rewards, max_steps, need_drop, hint
+    )
+    values = dict(zip(rewards, arrays))
     return CollectResult(values=values, fired=fired)
 
 
@@ -460,10 +477,10 @@ def _time_units(t: float, spec: LatticeSpec, name: str) -> int:
 
 
 def _drift_chunk(
-    spec: LatticeSpec,
-    seed: int,
     lo: int,
     hi: int,
+    spec: LatticeSpec,
+    seed: int,
     n_steps: int,
     cp_units: tuple[int, ...],
     k: int,
@@ -509,10 +526,6 @@ def _drift_chunk(
     return d_un, g_un, d_st, g_st, t_st
 
 
-def _drift_chunk_task(args):
-    return _drift_chunk(*args)
-
-
 def _paired_rows(
     q_matrix: np.ndarray, checkpoints: tuple[float, ...]
 ) -> tuple[DriftRow, ...]:
@@ -553,6 +566,7 @@ def drift_check(
         raise ValueError(f"horizon must be positive, got {horizon}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    _check_trials(n, seed)
     d = 1.0 / (2.0 * c)
     if spec is None:
         spec = LatticeSpec(h=d / 20.0)
@@ -570,17 +584,8 @@ def drift_check(
         raise ValueError(f"checkpoints must lie in [0, horizon], got {cps}")
     cp_units = tuple(_time_units(t, spec, "checkpoint") for t in cps)
 
-    tasks = [
-        (spec, seed, lo, min(lo + _CHUNK, n), n_steps, cp_units, k)
-        for lo in range(0, n, _CHUNK)
-    ]
-    if workers <= 1 or len(tasks) == 1:
-        parts = [_drift_chunk_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_drift_chunk_task, tasks))
-    d_un, g_un, d_st, g_st, t_st = (
-        np.concatenate([p[i] for p in parts]) for i in range(5)
+    d_un, g_un, d_st, g_st, t_st = _map_trials(
+        _drift_chunk, n, workers, spec, seed, n_steps, cp_units, k
     )
 
     params = QParams(c=c, d=d)
@@ -603,7 +608,7 @@ def drift_check(
 
 
 def _fixed_time_chunk(
-    spec: LatticeSpec, seed: int, lo: int, hi: int, n_steps: int
+    lo: int, hi: int, spec: LatticeSpec, seed: int, n_steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     h = spec.h
     m = hi - lo
@@ -619,10 +624,6 @@ def _fixed_time_chunk(
     return drop, abs_x
 
 
-def _fixed_time_task(args):
-    return _fixed_time_chunk(*args)
-
-
 def levy_samples(
     t: float,
     spec: LatticeSpec,
@@ -636,22 +637,11 @@ def levy_samples(
     second n contribute |x(t)|, so the two samples are independent and fit
     for a two-sample test of their (continuum-identical) laws.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_trials(n, seed)
     n_steps = _time_units(t, spec, "t")
     if n_steps < 1:
         raise ValueError("t shorter than one step")
-    tasks = [
-        (spec, seed, lo, min(lo + _CHUNK, 2 * n), n_steps)
-        for lo in range(0, 2 * n, _CHUNK)
-    ]
-    if workers <= 1 or len(tasks) == 1:
-        parts = [_fixed_time_task(a) for a in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_fixed_time_task, tasks))
-    drop = np.concatenate([p[0] for p in parts])
-    abs_x = np.concatenate([p[1] for p in parts])
+    drop, abs_x = _map_trials(_fixed_time_chunk, 2 * n, workers, spec, seed, n_steps)
     return drop[:n], abs_x[n:]
 
 
@@ -674,6 +664,74 @@ class SweepResult:
     argmax_d: float
 
 
+def _gap_sweep_chunk(
+    lo: int,
+    hi: int,
+    spec: LatticeSpec,
+    seed: int,
+    ks: tuple[int, ...],
+    guards: tuple[int, ...],
+    hint: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diameter and stop time of the gap rule at each of the nested thresholds.
+
+    `ks` are strictly increasing thresholds in lattice units.  Each trial's
+    path is walked once: threshold i fires at the first step where the gap
+    reaches ks[i], and is censored (NaN) when that step lies beyond
+    guards[i].  The walk ends when every threshold has fired or the largest
+    guard runs out.  Results have shape (hi - lo, len(ks)) and equal those
+    of the gap rule run separately at each threshold with its own guard.
+    """
+    h = spec.h
+    tps = spec.time_per_step
+    m = hi - lo
+    u = len(ks)
+    kv = np.array(ks, dtype=np.int64)
+    limit = max(guards)
+    steps = np.full((m, u), limit + 1, dtype=np.int64)
+    span = np.zeros((m, u), dtype=np.int64)
+    for j in range(m):
+        gen = _philox_stream(seed, lo + j)
+        walked = ix = imax = imin = 0
+        nxt = 0  # thresholds below nxt have fired
+        block = hint
+        while nxt < u and walked < limit:
+            length = min(block, limit - walked)
+            pos = gen.integers(0, 2, size=length, dtype=np.int64)
+            pos *= 2
+            pos -= 1
+            np.cumsum(pos, out=pos)
+            if ix:
+                pos += ix
+            rmax = np.maximum.accumulate(pos)
+            np.maximum(rmax, imax, out=rmax)
+            rmin = np.minimum.accumulate(pos)
+            np.minimum(rmin, imin, out=rmin)
+            gap = rmax - pos
+            np.minimum(gap, pos - rmin, out=gap)
+            # Every threshold still pending exceeds each earlier gap, so its
+            # first firing is where this block's running max first reaches it.
+            np.maximum.accumulate(gap, out=gap)
+            at = np.searchsorted(gap, kv[nxt:])
+            reached = int(np.searchsorted(at, length))
+            if reached:
+                at = at[:reached]
+                steps[j, nxt : nxt + reached] = walked + at + 1
+                span[j, nxt : nxt + reached] = rmax[at] - rmin[at]
+                nxt += reached
+            walked += length
+            ix = int(pos[-1])
+            imax = int(rmax[-1])
+            imin = int(rmin[-1])
+            block = min(2 * block, _MAX_BLOCK)
+    censored = steps > np.array(guards, dtype=np.int64)
+    diameter = span * h
+    stop_time = steps * tps
+    diameter[censored] = np.nan
+    stop_time[censored] = np.nan
+    return diameter, stop_time
+
+
 def sweep_payoff(
     c: float,
     d_grid,
@@ -686,19 +744,40 @@ def sweep_payoff(
 
     The same seed (hence the same sign sequences) is reused across grid
     points — common random numbers — which leaves each point's estimate
-    unbiased while stabilizing comparisons across d.
+    unbiased while stabilizing comparisons across d.  Each path is walked
+    once for the whole grid, up to the largest threshold; every point
+    equals a separate `collect_rewards` run of Gap(d) with its own guard.
     """
     if not (c > 0.0):
         raise ValueError(f"c must be positive, got {c}")
     grid = [float(d) for d in d_grid]
     if not grid:
         raise ValueError("d_grid is empty")
-    points = []
+    _check_trials(n, seed)
+    point_ks = []
+    guards = {}
     for d in grid:
-        result = collect_rewards(
-            Gap(d), ("diameter", "stop_time"), spec, n, seed, workers
-        )
-        payoff = result.values["diameter"] - c * result.values["stop_time"]
+        rule = Gap(d)
+        k = rule_units(rule, spec)[1]
+        point_ks.append(k)
+        guards[k] = default_max_steps(rule, spec)
+    ks = tuple(sorted(guards))
+    # The pass walks until the largest threshold fires: size its first block
+    # for that walk.
+    diameter, stop_time = _map_trials(
+        _gap_sweep_chunk,
+        n,
+        workers,
+        spec,
+        seed,
+        ks,
+        tuple(guards[k] for k in ks),
+        _block_hint(Gap(max(grid)), spec),
+    )
+    points = []
+    for d, k in zip(grid, point_ks):
+        i = ks.index(k)
+        payoff = diameter[:, i] - c * stop_time[:, i]
         points.append(SweepPoint(d=d, payoff=stats_from_sample(payoff)))
     best = max(points, key=lambda p: p.payoff.mean)
     return SweepResult(c=c, n=n, points=tuple(points), argmax_d=best.d)

@@ -324,3 +324,46 @@ def test_output_bytes_identical_across_workers(tmp_path, capsys):
     code, _, _ = run_cli(base + ["--workers", "2", "--out", str(two)], capsys)
     assert code == 0
     assert one.read_bytes() == two.read_bytes()
+
+
+def test_seed_beyond_64_bits_exits_1(capsys):
+    code, out, err = run_cli(
+        ["sweep", "--grid", "0.5", "--h", "0.125", "--trials", "10",
+         "--seed", str(2**64)],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("walkstop: invalid parameters:") and "2**64" in err
+
+
+def test_assert_checks_compare_with_lattice_values(capsys):
+    # On coarse lattices the O(h) bias puts every estimate far from its
+    # continuum value; --assert must judge it against the lattice value.
+    code, out, err = run_cli(
+        ["sweep", "--grid", "0.5", "--h", "0.125", "--trials", "2000",
+         "--seed", "1", "--assert", "--no-meta"],
+        capsys,
+    )
+    assert code == 0, err
+    (point,) = json.loads(out)["results"]["curve"]
+    assert not (point["ci_low"] <= 0.75 <= point["ci_high"])  # 3d - 3cd^2
+    assert point["ci_low"] <= 0.625 <= point["ci_high"]  # 3kh - c(3k^2+2k)h^2
+
+    code, out, err = run_cli(
+        ["bounds", "--d", "1", "--h", "0.25", "--trials", "4000", "--seed", "1",
+         "--assert", "--no-meta"],
+        capsys,
+    )
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    k = 4
+    lattice = {
+        "gap_ratio": 3 * k / math.sqrt(3 * k * k + 2 * k),
+        "drop_ratio": math.sqrt(2 * k / (k + 1)),
+        "max_ratio": math.sqrt(k / (k + 1)),
+    }
+    for key, windows in (("gap_ratio", (1.70, 1.77)), ("drop_ratio", (1.39, 1.45)),
+                         ("max_ratio", (0.97, 1.03))):
+        ratio = results[key]["ratio"]
+        assert not (windows[0] <= ratio <= windows[1])
+        assert results[key]["ci_low"] <= lattice[key] <= results[key]["ci_high"]

@@ -34,6 +34,7 @@ from walkstop import (
     stats_from_sample,
     sweep_payoff,
 )
+from walkstop.mc_harness import _CHUNK, _gap_sweep_chunk, _philox_stream
 
 UNIT = LatticeSpec(h=1.0)
 
@@ -320,3 +321,71 @@ def test_sweep_uses_common_random_numbers():
 def test_estimate_seed_validation():
     with pytest.raises(ValueError):
         collect_rewards(Gap(1.0), ("max",), UNIT, 100, -1)
+
+
+# --- one-pass sweep, fan-out and stream pins -------------------------------------------
+
+def test_sweep_matches_separate_gap_runs_on_unsorted_duplicate_grid():
+    spec = LatticeSpec(h=0.0625)
+    grid = [0.75, 0.25, 0.5, 0.25]
+    result = sweep_payoff(1.0, grid, spec, 600, 37)
+    assert [p.d for p in result.points] == grid
+    for point in result.points:
+        run = collect_rewards(Gap(point.d), ("diameter", "stop_time"), spec, 600, 37)
+        payoff = run.values["diameter"] - 1.0 * run.values["stop_time"]
+        assert point.payoff == stats_from_sample(payoff)
+
+
+def test_sweep_pass_censors_each_threshold_at_its_own_guard():
+    ks, guards = (1, 2, 3), (5, 200, 12)
+    diameter, stop_time = _gap_sweep_chunk(0, 400, UNIT, 41, ks, guards, 64)
+    assert diameter.shape == stop_time.shape == (400, 3)
+    for i, (k, guard) in enumerate(zip(ks, guards)):
+        run = collect_rewards(
+            Gap(float(k)), ("diameter", "stop_time"), UNIT, 400, 41, max_steps=guard
+        )
+        assert np.array_equal(diameter[:, i], run.values["diameter"], equal_nan=True)
+        assert np.array_equal(stop_time[:, i], run.values["stop_time"], equal_nan=True)
+    # Gap(1) cannot fire within 5 steps on a few paths, Gap(3) mostly not
+    # within 12, Gap(2) always within 200.
+    censored = np.isnan(stop_time).sum(axis=0)
+    assert 0 < censored[0] < 400 and censored[1] == 0 and censored[2] > censored[0]
+
+
+def test_worker_count_invariance_below_one_chunk():
+    n = 900
+    assert n < _CHUNK
+    spec = LatticeSpec(h=0.125)
+    a = collect_rewards(Gap(0.5), ("diameter", "terminal_x"), spec, n, 43, workers=1)
+    b = collect_rewards(Gap(0.5), ("diameter", "terminal_x"), spec, n, 43, workers=2)
+    for key in a.values:
+        assert np.array_equal(a.values[key], b.values[key], equal_nan=True)
+    assert np.array_equal(a.fired, b.fired)
+    one = sweep_payoff(1.0, [0.25, 0.5, 1.0], spec, n, 43, workers=1)
+    two = sweep_payoff(1.0, [0.25, 0.5, 1.0], spec, n, 43, workers=2)
+    assert one == two
+
+
+def test_philox_stream_block_splits_match_one_draw():
+    """The sweep pass and drive_units draw in different block sizes; both
+    rely on a stream giving the same signs however its draws are split."""
+    split = _philox_stream(5, 3)
+    parts = [split.integers(0, 2, size=m, dtype=np.int64) for m in (1, 7, 3, 2048)]
+    whole = _philox_stream(5, 3).integers(0, 2, size=2059, dtype=np.int64)
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_seeds_beyond_64_bits_rejected():
+    spec = LatticeSpec(h=0.25)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        collect_rewards(Gap(1.0), ("max",), UNIT, 10, 2**64)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        sweep_payoff(1.0, [0.5], spec, 10, 2**64)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        drift_check(1.0, 1.0, 10, 2**64, (0.0, 1.0), spec=spec)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        levy_samples(1.0, spec, 10, 2**64)
+    # the largest 64-bit seed is still a valid, distinct stream from seed 0
+    top = collect_rewards(Gap(1.0), ("stop_time",), UNIT, 200, 2**64 - 1)
+    low = collect_rewards(Gap(1.0), ("stop_time",), UNIT, 200, 0)
+    assert not np.array_equal(top.values["stop_time"], low.values["stop_time"])
