@@ -9,6 +9,7 @@ moments but always counted and reported.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import ceil, sqrt
@@ -23,8 +24,8 @@ from .stopping_rules import (
     _MAX_BLOCK,
     Gap,
     StopRule,
+    _fire_mask,
     default_max_steps,
-    drive_units,
     rule_units,
 )
 
@@ -72,16 +73,9 @@ REWARD_NAMES = (
 # each trial's stream is keyed by (seed, trial) alone.
 _CHUNK = 4096
 
-_EXTRACTORS = {
-    "max": lambda r, h, tps: r.imax * h,
-    "min_abs": lambda r, h, tps: -r.imin * h,
-    "abs_sup": lambda r, h, tps: max(r.imax, -r.imin) * h,
-    "diameter": lambda r, h, tps: (r.imax - r.imin) * h,
-    "drop_sup": lambda r, h, tps: r.idrop * h,
-    "stop_time": lambda r, h, tps: r.steps * tps,
-    "terminal_sq": lambda r, h, tps: (r.ix * h) ** 2,
-    "terminal_x": lambda r, h, tps: r.ix * h,
-}
+# Most steps scanned at once by the batched engine: trials x block length.
+# Its int64 arrays then stay at 256 KB each, as large as one 32768-step block.
+_BATCH_STEPS = 2**15
 
 
 @dataclass(frozen=True)
@@ -111,8 +105,54 @@ class RatioReport:
 
 
 def _philox_stream(seed: int, trial: int) -> np.random.Generator:
+    """Trial's generator, as `_Steps` reads it; the tests' reference stream."""
     key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+class _Steps:
+    """The +-1 steps of every trial of one seed: the one source of walk steps.
+
+    Trial t walks the Philox stream keyed by (seed, t).  Its step i is +1
+    when bit 31 of the i-th 32-bit half of the raw output is set, low half
+    of each 64-bit word first, and -1 otherwise.  That is the sequence
+    `2 * _philox_stream(seed, t).integers(0, 2) - 1` gives, as the tests
+    pin, read without building a generator per trial: one bit generator
+    serves every trial, its key and counter rewritten for each draw.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+        # A fresh state has nothing buffered (buffer_pos 4, has_uint32 0),
+        # so setting it starts the output at its counter.
+        self._state = self._bg.state
+        self._key = self._state["state"]["key"]
+        self._counter = self._state["state"]["counter"]
+
+    def words(self, trial: int, start: int, count: int) -> np.ndarray:
+        """`count` raw words holding steps start .. start + 2*count - 1.
+
+        One Philox counter value yields four words, i.e. eight steps, so
+        `start` must be a multiple of 8.
+        """
+        if start % 8:
+            raise ValueError(f"start must be a multiple of 8, got {start}")
+        self._key[1] = trial
+        self._counter[0] = start // 8
+        self._bg.state = self._state
+        return self._bg.random_raw(count)
+
+    def signs(self, trial: int, start: int, length: int) -> np.ndarray:
+        """Steps start .. start + length - 1 of the trial as int64 +-1."""
+        return _signs(self.words(trial, start, (length + 1) // 2), length)
+
+
+def _signs(words: np.ndarray, length: int) -> np.ndarray:
+    """The first `length` steps held along the last axis of `words`."""
+    steps = (words.view(np.uint32) >> 31)[..., :length].astype(np.int64)
+    steps *= 2
+    steps -= 1
+    return steps
 
 
 def _check_trials(n: int, seed: int) -> None:
@@ -130,14 +170,23 @@ def _trial_task(task):
     return fn(lo, hi, *args)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def _map_trials(fn, n: int, workers: int, *args) -> tuple[np.ndarray, ...]:
     """Run fn(lo, hi, *args) over trials [0, n); join its arrays in trial order.
 
     `fn` returns a tuple of arrays indexed by trial along the first axis.
     Trials are split into equal contiguous chunks of at most _CHUNK, their
     count a multiple of `workers` so every worker gets the same share.
+    Workers beyond the CPUs this process may use would only queue, so
+    `workers` is capped at that count.
     """
-    workers = max(1, workers)
+    workers = max(1, min(workers, _usable_cpus()))
     parts = workers * ceil(n / (workers * _CHUNK))
     cuts = [i * n // parts for i in range(parts + 1)]
     tasks = [(fn, lo, hi, args) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
@@ -170,28 +219,101 @@ def _run_chunk(
     need_drop: bool,
     hint: int,
 ) -> tuple[np.ndarray, ...]:
+    """Rewards of trials [lo, hi), all walked together as rows of one array.
+
+    Every trial still walking takes the same block of steps, in sub-batches
+    of at most _BATCH_STEPS steps, and leaves at its first firing step.
+    The first block is `hint` rounded up to a multiple of 8; blocks then
+    double up to _MAX_BLOCK.  Each row is scanned in step order from its
+    carried position, extremes and drop supremum, so results never depend
+    on the block split.  A trial whose first firing step exceeds
+    `max_steps` is censored.
+    """
     kind, k, klo, khi = rule_units(rule, spec)
-    h = spec.h
-    tps = spec.time_per_step
+    stream = _Steps(seed)
     m = hi - lo
-    arrays = [np.empty(m) for _ in rewards]
-    extractors = [_EXTRACTORS[name] for name in rewards]
-    fired = np.zeros(m, dtype=bool)
-    for j in range(m):
-        gen = _philox_stream(seed, lo + j)
-
-        def draw(length: int, _g: np.random.Generator = gen) -> np.ndarray:
-            return 2 * _g.integers(0, 2, size=length, dtype=np.int64) - 1
-
-        res = drive_units(kind, k, klo, khi, draw, max_steps, need_drop, False, hint)
-        fired[j] = res.fired
-        if res.fired:
-            for arr, extract in zip(arrays, extractors):
-                arr[j] = extract(res, h, tps)
-        else:
-            for arr in arrays:
-                arr[j] = np.nan
+    steps = np.zeros(m, dtype=np.int64)  # first firing step, 0 while walking
+    ix = np.zeros(m, dtype=np.int64)
+    imax = np.zeros(m, dtype=np.int64)
+    imin = np.zeros(m, dtype=np.int64)
+    idrop = np.zeros(m, dtype=np.int64)
+    live = np.arange(m)
+    walked = 0
+    block = -(-hint // 8) * 8
+    while live.size and walked < max_steps:
+        batch = max(1, _BATCH_STEPS // block)
+        walking = []
+        for a in range(0, live.size, batch):
+            idx = live[a : a + batch]
+            words = np.empty((idx.size, block // 2), dtype=np.uint64)
+            for row, trial in enumerate(idx.tolist()):
+                words[row] = stream.words(lo + trial, walked, block // 2)
+            pos = _signs(words, block)
+            np.cumsum(pos, axis=1, out=pos)
+            pos += ix[idx, None]
+            rmax = np.maximum.accumulate(pos, axis=1)
+            np.maximum(rmax, imax[idx, None], out=rmax)
+            rmin = np.minimum.accumulate(pos, axis=1)
+            np.minimum(rmin, imin[idx, None], out=rmin)
+            drop_run = None
+            if need_drop:
+                drop_run = np.maximum.accumulate(rmax - pos, axis=1)
+                np.maximum(drop_run, idrop[idx, None], out=drop_run)
+            mask = _fire_mask(kind, k, klo, khi, pos, rmax, rmin, drop_run)
+            hit = mask.any(axis=1)
+            # Carry each row's state at its first firing step, or at the end
+            # of the block when it walks on.
+            at = np.where(hit, mask.argmax(axis=1), block - 1)
+            rows = np.arange(idx.size)
+            ix[idx] = pos[rows, at]
+            imax[idx] = rmax[rows, at]
+            imin[idx] = rmin[rows, at]
+            if need_drop:
+                idrop[idx] = drop_run[rows, at]
+            steps[idx[hit]] = walked + at[hit] + 1
+            walking.append(idx[~hit])
+        live = np.concatenate(walking)
+        walked += block
+        block = min(2 * block, _MAX_BLOCK)
+    fired = (steps > 0) & (steps <= max_steps)
+    arrays = []
+    for name in rewards:
+        values = _reward_values(name, spec, steps, ix, imax, imin, idrop)
+        values[~fired] = np.nan
+        arrays.append(values)
     return (fired, *arrays)
+
+
+def _reward_values(
+    name: str,
+    spec: LatticeSpec,
+    steps: np.ndarray,
+    ix: np.ndarray,
+    imax: np.ndarray,
+    imin: np.ndarray,
+    idrop: np.ndarray,
+) -> np.ndarray:
+    """One reward per trial from its lattice-unit state at the stop."""
+    h = spec.h
+    if name == "max":
+        return imax * h
+    if name == "min_abs":
+        return -imin * h
+    if name == "abs_sup":
+        return np.maximum(imax, -imin) * h
+    if name == "diameter":
+        return (imax - imin) * h
+    if name == "drop_sup":
+        return idrop * h
+    if name == "stop_time":
+        return steps * spec.time_per_step
+    if name == "terminal_x":
+        return ix * h
+    if name == "terminal_sq":
+        # float_power calls libm pow, as Python's float ** 2 does; numpy's
+        # ** 2 is x * x, which differs in the last bit for some x.
+        return np.float_power(ix * h, 2.0)
+    raise ValueError(f"unknown reward {name!r}")
 
 
 @dataclass(frozen=True)
@@ -238,6 +360,8 @@ def collect_rewards(
     kind, _, _, _ = rule_units(rule, spec)
     if max_steps is None:
         max_steps = default_max_steps(rule, spec)
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     need_drop = kind == "dropdd" or "drop_sup" in rewards
     hint = _block_hint(rule, spec)
     fired, *arrays = _map_trials(
@@ -496,10 +620,10 @@ def _drift_chunk(
     d_st = np.empty((m, K))
     g_st = np.empty((m, K))
     t_st = np.empty((m, K))
+    stream = _Steps(seed)
     for j in range(m):
-        gen = _philox_stream(seed, lo + j)
-        sgn = 2 * gen.integers(0, 2, size=n_steps, dtype=np.int64) - 1
-        pos = np.cumsum(sgn)
+        pos = stream.signs(lo + j, 0, n_steps)
+        np.cumsum(pos, out=pos)
         rmax = np.maximum.accumulate(pos)
         np.maximum(rmax, 0, out=rmax)
         rmin = np.minimum.accumulate(pos)
@@ -614,9 +738,9 @@ def _fixed_time_chunk(
     m = hi - lo
     drop = np.empty(m)
     abs_x = np.empty(m)
+    stream = _Steps(seed)
     for j in range(m):
-        gen = _philox_stream(seed, lo + j)
-        sgn = 2 * gen.integers(0, 2, size=n_steps, dtype=np.int64) - 1
+        sgn = stream.signs(lo + j, 0, n_steps)
         pos = int(np.sum(sgn))
         top = int(max(np.max(np.cumsum(sgn)), 0))
         drop[j] = (top - pos) * h
@@ -690,16 +814,14 @@ def _gap_sweep_chunk(
     limit = max(guards)
     steps = np.full((m, u), limit + 1, dtype=np.int64)
     span = np.zeros((m, u), dtype=np.int64)
+    stream = _Steps(seed)
     for j in range(m):
-        gen = _philox_stream(seed, lo + j)
         walked = ix = imax = imin = 0
         nxt = 0  # thresholds below nxt have fired
-        block = hint
+        block = -(-hint // 8) * 8  # blocks start on whole Philox counter values
         while nxt < u and walked < limit:
             length = min(block, limit - walked)
-            pos = gen.integers(0, 2, size=length, dtype=np.int64)
-            pos *= 2
-            pos -= 1
+            pos = stream.signs(lo + j, walked, length)
             np.cumsum(pos, out=pos)
             if ix:
                 pos += ix

@@ -197,6 +197,40 @@ _FIRST_BLOCK = 2048
 _MAX_BLOCK = 32768
 
 
+def _fire_mask(
+    kind: str,
+    k: int,
+    klo: int,
+    khi: int,
+    pos: np.ndarray,
+    rmax: np.ndarray,
+    rmin: np.ndarray,
+    drop_run: np.ndarray | None,
+) -> np.ndarray:
+    """Where the rule's predicate holds, elementwise over lattice-unit arrays.
+
+    `pos` holds positions, `rmax`/`rmin` the running extremes (the origin
+    included) and `drop_run` the running drop supremum, which only the
+    dropdd rule reads.  Arrays of any shape work, so a walk runs along the
+    last axis of a 1-D block or of a batch of trials alike.
+    """
+    if kind == "drawdown":
+        return rmax - pos >= k
+    if kind == "rise":
+        return pos - rmin >= k
+    if kind == "absgap":
+        return np.maximum(rmax, -rmin) - np.abs(pos) >= k
+    if kind == "gap":
+        return (rmax - pos >= k) & (pos - rmin >= k)
+    if kind == "dropdd":
+        return drop_run - (rmax - pos) >= k
+    if kind == "diam":
+        return rmax - rmin >= k
+    if kind == "exit":
+        return (pos <= klo) | (pos >= khi)
+    raise ValueError(f"unknown kind {kind!r}")
+
+
 def drive_units(
     kind: str,
     k: int,
@@ -245,23 +279,7 @@ def drive_units(
             if idrop > 0:
                 np.maximum(drop_run, idrop, out=drop_run)
 
-        if kind == "drawdown":
-            mask = rmax - pos >= k
-        elif kind == "rise":
-            mask = pos - rmin >= k
-        elif kind == "absgap":
-            mask = np.maximum(rmax, -rmin) - np.abs(pos) >= k
-        elif kind == "gap":
-            mask = (rmax - pos >= k) & (pos - rmin >= k)
-        elif kind == "dropdd":
-            mask = drop_run - (rmax - pos) >= k
-        elif kind == "diam":
-            mask = rmax - rmin >= k
-        elif kind == "exit":
-            mask = (pos <= klo) | (pos >= khi)
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-
+        mask = _fire_mask(kind, k, klo, khi, pos, rmax, rmin, drop_run)
         if mask.any():
             j = int(mask.argmax())
             steps += j + 1

@@ -8,6 +8,7 @@ import pytest
 import scipy.stats
 
 from walkstop import (
+    AbsGap,
     DiameterReach,
     Drawdown,
     DropDrawdown,
@@ -34,7 +35,15 @@ from walkstop import (
     stats_from_sample,
     sweep_payoff,
 )
-from walkstop.mc_harness import _CHUNK, _gap_sweep_chunk, _philox_stream
+from walkstop import mc_harness
+from walkstop.mc_harness import (
+    REWARD_NAMES,
+    _CHUNK,
+    _Steps,
+    _gap_sweep_chunk,
+    _philox_stream,
+)
+from walkstop.stopping_rules import drive_units, rule_units
 
 UNIT = LatticeSpec(h=1.0)
 
@@ -389,3 +398,132 @@ def test_seeds_beyond_64_bits_rejected():
     top = collect_rewards(Gap(1.0), ("stop_time",), UNIT, 200, 2**64 - 1)
     low = collect_rewards(Gap(1.0), ("stop_time",), UNIT, 200, 0)
     assert not np.array_equal(top.values["stop_time"], low.values["stop_time"])
+
+
+# --- batched engine, raw-bit stream and pool size -------------------------------------
+
+def test_step_stream_matches_generator_integers():
+    """The raw-bit steps equal the reference generator's integers(0, 2), so a
+    numpy release that changes either mapping fails here, not silently."""
+    for seed, trial in ((0, 0), (5, 3), (2**64 - 1, 7), (11, 2**32), (2**64 - 1, 2**64 - 1)):
+        stream = _Steps(seed)
+        ref = 2 * _philox_stream(seed, trial).integers(0, 2, size=2101, dtype=np.int64) - 1
+        for start, length in ((0, 1), (0, 7), (0, 2101), (8, 13), (16, 1), (1024, 1077)):
+            steps = stream.signs(trial, start, length)
+            assert steps.dtype == np.int64
+            assert np.array_equal(steps, ref[start : start + length])
+    with pytest.raises(ValueError, match="multiple of 8"):
+        _Steps(0).signs(0, 4, 10)
+
+
+def _reference_rewards(rule, spec, n, seed, max_steps):
+    """Per-trial reference: drive_units on the reference generator, rewards
+    from Python scalars."""
+    kind, k, klo, khi = rule_units(rule, spec)
+    h, tps = spec.h, spec.time_per_step
+    fired = np.zeros(n, dtype=bool)
+    values = {name: np.full(n, np.nan) for name in REWARD_NAMES}
+    for trial in range(n):
+        gen = _philox_stream(seed, trial)
+
+        def draw(length, g=gen):
+            return 2 * g.integers(0, 2, size=length, dtype=np.int64) - 1
+
+        r = drive_units(kind, k, klo, khi, draw, max_steps, True, False)
+        fired[trial] = r.fired
+        if r.fired:
+            for name, value in (
+                ("max", r.imax * h),
+                ("min_abs", -r.imin * h),
+                ("abs_sup", max(r.imax, -r.imin) * h),
+                ("diameter", (r.imax - r.imin) * h),
+                ("drop_sup", r.idrop * h),
+                ("stop_time", r.steps * tps),
+                ("terminal_sq", (r.ix * h) ** 2),
+                ("terminal_x", r.ix * h),
+            ):
+                values[name][trial] = value
+    return fired, values
+
+
+# A non-dyadic lattice on which Python's float (x * h) ** 2 (libm pow) and
+# numpy's x * x already disagree at small |x|/h (11 is the first); on
+# h = 1/60 the first is 161, beyond these short walks.
+_H157 = 1.0 / 157
+
+
+@pytest.mark.parametrize(
+    "rule, max_steps",
+    [
+        (Gap(4 * _H157), 110),
+        (DropDrawdown(4 * _H157), 90),
+        (Drawdown(6 * _H157), 110),
+        (Rise(6 * _H157), 110),
+        (AbsGap(5 * _H157), 110),
+        (DiameterReach(11 * _H157), 130),
+        (FirstExit(-11 * _H157, 4 * _H157), 110),
+    ],
+)
+def test_batched_engine_matches_per_trial_reference(monkeypatch, rule, max_steps):
+    spec = LatticeSpec(h=_H157)
+    n, seed = 1500, 61
+    fired, values = _reference_rewards(rule, spec, n, seed, max_steps)
+    assert 0 < (~fired).sum() < n
+    x = values["terminal_x"][fired]
+    assert (values["terminal_sq"][fired] != x * x).any()
+
+    def check(run):
+        assert run.fired.tobytes() == fired.tobytes()
+        for name in REWARD_NAMES:
+            assert run.values[name].tobytes() == values[name].tobytes(), name
+
+    for workers in (1, 2):
+        check(collect_rewards(rule, REWARD_NAMES, spec, n, seed, workers, max_steps))
+    # Blocks of 8, 16, 32, ... steps: trials stopping after step 56 fire in
+    # their fourth block or later.
+    monkeypatch.setattr(mc_harness, "_block_hint", lambda rule, spec: 8)
+    assert (values["stop_time"] > 56 * spec.time_per_step).sum() > 10
+    for workers in (1, 2):
+        check(collect_rewards(rule, REWARD_NAMES, spec, n, seed, workers, max_steps))
+
+
+def test_collect_rewards_rejects_nonpositive_max_steps():
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="max_steps must be >= 1"):
+            collect_rewards(Gap(1.0), ("stop_time",), UNIT, 10, 3, max_steps=bad)
+        with pytest.raises(ValueError, match="max_steps must be >= 1"):
+            estimate(Gap(1.0), "stop_time", UNIT, 10, 3, max_steps=bad)
+
+
+def test_pool_is_capped_at_usable_cpus(monkeypatch):
+    requested, mapped = [], []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            mapped.append(len(tasks))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(mc_harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(mc_harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    one = collect_rewards(Gap(1.0), ("stop_time",), UNIT, 10_000, 7, workers=1)
+    assert requested == []
+    many = collect_rewards(Gap(1.0), ("stop_time",), UNIT, 10_000, 7, workers=1000)
+    assert requested == [2] and mapped == [4]  # 2 workers x 2 chunks, not 1000 tasks
+    assert many.values["stop_time"].tobytes() == one.values["stop_time"].tobytes()
+    # Without affinity masks the cap falls back to the CPU count.
+    monkeypatch.delattr(mc_harness.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(mc_harness.os, "cpu_count", lambda: 3)
+    sweep_payoff(1.0, [1.0], UNIT, 600, 7, workers=1000)
+    assert requested[-1] == 3 and mapped[-1] == 3
