@@ -284,6 +284,8 @@ def _cmd_bounds(args):
 
 
 def _cmd_dist(args):
+    if args.seed + 3 >= 2**64:
+        raise ValueError(f"dist draws seeds seed..seed+3, all below 2**64; got {args.seed}")
     h = args.h if args.h is not None else args.d / 160.0
     spec = LatticeSpec(h=h)
     n = args.trials
@@ -588,8 +590,9 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         args.seed = _resolve_seed(args)
-        if args.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {args.seed}")
+        if not 0 <= args.seed < 2**64:
+            # The stream key holds 64 bits; a larger seed would alias a smaller one.
+            raise ValueError(f"seed must lie in [0, 2**64), got {args.seed}")
         if getattr(args, "workers", 1) < 1:
             raise ValueError(f"--workers must be >= 1, got {args.workers}")
         params, results, censored, table, failures = _HANDLERS[args.command](args)

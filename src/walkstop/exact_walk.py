@@ -15,12 +15,8 @@ import numpy as np
 
 from .path_engine import LatticeSpec
 from .stopping_rules import (
-    DiameterReach,
     Drawdown,
-    DropDrawdown,
-    FirstExit,
     Gap,
-    Rise,
     StopRule,
     rule_units,
 )

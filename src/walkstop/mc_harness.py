@@ -524,13 +524,9 @@ def gof_test(sample, target) -> GofResult:
         raise ValueError("degenerate sample: all values equal")
 
     if isinstance(target, Exponential):
-        if not (target.mean > 0.0):
-            raise ValueError(f"mean must be positive, got {target.mean}")
         stat, p = sps.kstest(arr, "expon", args=(0.0, target.mean), method="asymp")
         return GofResult(float(stat), float(p), "ks_exponential")
     if isinstance(target, Uniform):
-        if not (target.hi > 0.0):
-            raise ValueError(f"hi must be positive, got {target.hi}")
         stat, p = sps.kstest(arr, "uniform", args=(0.0, target.hi), method="asymp")
         return GofResult(float(stat), float(p), "ks_uniform")
     if isinstance(target, VShape):
@@ -600,73 +596,50 @@ def _time_units(t: float, spec: LatticeSpec, name: str) -> int:
     return int(rounded)
 
 
-def _drift_chunk(
-    lo: int,
-    hi: int,
-    spec: LatticeSpec,
-    seed: int,
-    n_steps: int,
-    cp_units: tuple[int, ...],
-    k: int,
-) -> tuple[np.ndarray, ...]:
-    h = spec.h
-    tps = spec.time_per_step
+def _fixed_time_chunk(
+    lo: int, hi: int, seed: int, cp_units: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Position, running max and running min after each checkpoint's steps.
+
+    Trials [lo, hi) each walk cp_units[-1] steps; `cp_units` are strictly
+    increasing step counts.  Results are in lattice units, the origin counts
+    in the extremes, and each has shape (hi - lo, len(cp_units)).
+    """
+    cp = np.array(cp_units, dtype=np.int64)
+    n_steps = cp_units[-1]
+    # pos[u] is the position after u steps.  Segment j of pos runs from the
+    # step after checkpoint j - 1 through checkpoint j; the extremes at a
+    # checkpoint accumulate those of the segments up to it.
+    starts = np.concatenate(([0], cp[:-1] + 1))
+    pos = np.zeros(n_steps + 1, dtype=np.int64)
     m = hi - lo
-    K = len(cp_units)
-    cp_idx = np.array(cp_units, dtype=np.int64)
-    cp_times = cp_idx * tps
-    d_un = np.empty((m, K))
-    g_un = np.empty((m, K))
-    d_st = np.empty((m, K))
-    g_st = np.empty((m, K))
-    t_st = np.empty((m, K))
+    x = np.empty((m, cp.size), dtype=np.int64)
+    top = np.empty_like(x)
+    bot = np.empty_like(x)
     stream = _Steps(seed)
     for j in range(m):
-        pos = stream.signs(lo + j, 0, n_steps)
-        np.cumsum(pos, out=pos)
-        rmax = np.maximum.accumulate(pos)
-        np.maximum(rmax, 0, out=rmax)
-        rmin = np.minimum.accumulate(pos)
-        np.minimum(rmin, 0, out=rmin)
-        gap = np.minimum(rmax - pos, pos - rmin)
-        diam = rmax - rmin
-        # Prepend the initial state so checkpoint index u is "after u steps".
-        diam_full = np.concatenate(([0], diam))
-        gap_full = np.concatenate(([0], gap))
-        d_un[j] = diam_full[cp_idx] * h
-        g_un[j] = gap_full[cp_idx] * h
-
-        fire_mask = gap >= k
-        if fire_mask.any():
-            s = int(fire_mask.argmax()) + 1  # firing step count
-            stopped = cp_idx >= s
-            d_st[j] = np.where(stopped, diam_full[s] * h, d_un[j])
-            g_st[j] = np.where(stopped, k * h, g_un[j])
-            t_st[j] = np.where(stopped, s * tps, cp_times)
-        else:
-            d_st[j] = d_un[j]
-            g_st[j] = g_un[j]
-            t_st[j] = cp_times
-    return d_un, g_un, d_st, g_st, t_st
+        np.cumsum(stream.signs(lo + j, 0, n_steps), out=pos[1:])
+        x[j] = pos[cp]
+        top[j] = np.maximum.reduceat(pos, starts)
+        bot[j] = np.minimum.reduceat(pos, starts)
+    np.maximum.accumulate(top, axis=1, out=top)
+    np.minimum.accumulate(bot, axis=1, out=bot)
+    return x, top, bot
 
 
 def _paired_rows(
     q_matrix: np.ndarray, checkpoints: tuple[float, ...]
 ) -> tuple[DriftRow, ...]:
-    diffs = np.diff(q_matrix, axis=1)
     n = q_matrix.shape[0]
-    rows = []
-    for i in range(diffs.shape[1]):
-        col = diffs[:, i]
-        rows.append(
-            DriftRow(
-                t_start=checkpoints[i],
-                t_end=checkpoints[i + 1],
-                mean=float(np.mean(col)),
-                stderr=float(np.std(col, ddof=1) / sqrt(n)),
-            )
+    return tuple(
+        DriftRow(
+            t_start=checkpoints[i],
+            t_end=checkpoints[i + 1],
+            mean=float(np.mean(col)),
+            stderr=float(np.std(col, ddof=1) / sqrt(n)),
         )
-    return tuple(rows)
+        for i, col in enumerate(np.diff(q_matrix, axis=1).T)
+    )
 
 
 def drift_check(
@@ -680,9 +653,11 @@ def drift_check(
 ) -> DriftReport:
     """Estimate certificate drift between checkpoints at d = 1/(2c).
 
-    Simulates n walk paths to the horizon and forms paired increments of
-    Q(t) = q(D(t), G(t), t) at consecutive checkpoints, both for the raw
-    process and for the process frozen at the gap rule's firing time.
+    Simulates n walk paths to the last checkpoint and forms paired
+    increments of Q(t) = q(D(t), G(t), t) at consecutive checkpoints, both
+    for the raw process and for the process frozen at the gap rule's firing
+    time.  The frozen process reads that firing from `collect_rewards` of
+    Gap(d), which walks the same (seed, trial) streams.
     """
     if not (c > 0.0):
         raise ValueError(f"c must be positive, got {c}")
@@ -695,25 +670,33 @@ def drift_check(
     if spec is None:
         spec = LatticeSpec(h=d / 20.0)
     k = spec.units(d, "d")
-    n_steps = _time_units(horizon, spec, "horizon")
-    if n_steps < 1:
+    if _time_units(horizon, spec, "horizon") < 1:
         raise ValueError("horizon shorter than one step")
 
     cps = tuple(float(t) for t in checkpoints)
     if len(cps) < 2:
         raise ValueError("need at least two checkpoints")
-    if any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValueError(f"checkpoints must be strictly increasing, got {cps}")
     if cps[0] < 0.0 or cps[-1] > horizon + 1e-12:
         raise ValueError(f"checkpoints must lie in [0, horizon], got {cps}")
     cp_units = tuple(_time_units(t, spec, "checkpoint") for t in cps)
+    if any(b <= a for a, b in zip(cp_units, cp_units[1:])):
+        raise ValueError(f"checkpoints must be strictly increasing steps, got {cps}")
 
-    d_un, g_un, d_st, g_st, t_st = _map_trials(
-        _drift_chunk, n, workers, spec, seed, n_steps, cp_units, k
+    h = spec.h
+    x, top, bot = _map_trials(_fixed_time_chunk, n, workers, seed, cp_units)
+    d_un = (top - bot) * h
+    g_un = np.minimum(top - x, x - bot) * h
+    run = collect_rewards(
+        Gap(d), ("diameter", "stop_time"), spec, n, seed, workers, cp_units[-1]
     )
+    cp_times = np.array(cp_units, dtype=float) * spec.time_per_step
+    stop_time = run.values["stop_time"][:, None]
+    stopped = stop_time <= cp_times  # NaN, not fired by then, compares False
+    d_st = np.where(stopped, run.values["diameter"][:, None], d_un)
+    g_st = np.where(stopped, k * h, g_un)
+    t_st = np.where(stopped, stop_time, cp_times)
 
     params = QParams(c=c, d=d)
-    cp_times = np.array(cp_units, dtype=float) * spec.time_per_step
     q_un = q_value(params, d_un, g_un, np.broadcast_to(cp_times, d_un.shape))
     q_st = q_value(params, d_st, g_st, t_st)
     return DriftReport(
@@ -729,23 +712,6 @@ def drift_check(
 
 
 # --- fixed-time ensembles --------------------------------------------------
-
-
-def _fixed_time_chunk(
-    lo: int, hi: int, spec: LatticeSpec, seed: int, n_steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    h = spec.h
-    m = hi - lo
-    drop = np.empty(m)
-    abs_x = np.empty(m)
-    stream = _Steps(seed)
-    for j in range(m):
-        sgn = stream.signs(lo + j, 0, n_steps)
-        pos = int(np.sum(sgn))
-        top = int(max(np.max(np.cumsum(sgn)), 0))
-        drop[j] = (top - pos) * h
-        abs_x[j] = abs(pos) * h
-    return drop, abs_x
 
 
 def levy_samples(
@@ -765,8 +731,8 @@ def levy_samples(
     n_steps = _time_units(t, spec, "t")
     if n_steps < 1:
         raise ValueError("t shorter than one step")
-    drop, abs_x = _map_trials(_fixed_time_chunk, 2 * n, workers, spec, seed, n_steps)
-    return drop[:n], abs_x[n:]
+    x, top, _ = _map_trials(_fixed_time_chunk, 2 * n, workers, seed, (n_steps,))
+    return (top[:n, 0] - x[:n, 0]) * spec.h, np.abs(x[n:, 0]) * spec.h
 
 
 # --- payoff sweep ----------------------------------------------------------

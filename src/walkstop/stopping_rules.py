@@ -9,7 +9,7 @@ integer lattice units internally, so threshold comparisons are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -180,19 +180,6 @@ def default_max_steps(rule: StopRule, spec: LatticeSpec) -> int:
     return 400 * k * k
 
 
-@dataclass
-class KernelResult:
-    """Integer-unit outcome of a kernel run (not part of the public API)."""
-
-    fired: bool
-    steps: int
-    ix: int
-    imax: int
-    imin: int
-    idrop: int
-    irise: int
-
-
 _FIRST_BLOCK = 2048
 _MAX_BLOCK = 32768
 
@@ -231,99 +218,6 @@ def _fire_mask(
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def drive_units(
-    kind: str,
-    k: int,
-    klo: int,
-    khi: int,
-    draw: Callable[[int], np.ndarray],
-    max_steps: int,
-    track_drop: bool,
-    track_rise: bool,
-    first_block: int = _FIRST_BLOCK,
-) -> KernelResult:
-    """Run the walk in vectorized blocks until the predicate first holds.
-
-    `draw(L)` must return L signed unit steps.  All comparisons happen in
-    integer lattice units, so firing levels are exact.  `first_block` sizes
-    the initial vectorized chunk (it then doubles up to a cap); the block
-    schedule is a pure function of the arguments, so results for a given
-    draw stream never depend on the caller's worker count.
-    """
-    steps = 0
-    ix = 0
-    imax = 0
-    imin = 0
-    idrop = 0
-    irise = 0
-    need_drop = track_drop or kind == "dropdd"
-    remaining = max_steps
-    block = max(min(first_block, remaining, _MAX_BLOCK), 1)
-
-    while remaining > 0:
-        length = min(block, remaining)
-        sgn = draw(length)
-        pos = np.cumsum(sgn)
-        if ix:
-            pos += ix
-        # Clamp against the carried extremes; the initial 0 counts as visited,
-        # so the clamp applies even on the first block (imax=imin=0).
-        rmax = np.maximum.accumulate(pos)
-        np.maximum(rmax, imax, out=rmax)
-        rmin = np.minimum.accumulate(pos)
-        np.minimum(rmin, imin, out=rmin)
-
-        drop_run = None
-        if need_drop:
-            drop_run = np.maximum.accumulate(rmax - pos)
-            if idrop > 0:
-                np.maximum(drop_run, idrop, out=drop_run)
-
-        mask = _fire_mask(kind, k, klo, khi, pos, rmax, rmin, drop_run)
-        if mask.any():
-            j = int(mask.argmax())
-            steps += j + 1
-            ixj = int(pos[j])
-            imaxj = int(rmax[j])
-            iminj = int(rmin[j])
-            if need_drop:
-                idrop = int(drop_run[j])
-            if track_rise:
-                irise = max(irise, int((pos[: j + 1] - rmin[: j + 1]).max()))
-            return KernelResult(True, steps, ixj, imaxj, iminj, idrop, irise)
-
-        steps += length
-        remaining -= length
-        ix = int(pos[-1])
-        imax = int(rmax[-1])
-        imin = int(rmin[-1])
-        if need_drop:
-            idrop = int(drop_run[-1])
-        if track_rise:
-            irise = max(irise, int((pos - rmin).max()))
-        block = min(block * 2, _MAX_BLOCK)
-
-    return KernelResult(False, steps, ix, imax, imin, idrop, irise)
-
-
-def _state_from_units(res: KernelResult, spec: LatticeSpec) -> PathState:
-    h = spec.h
-    drop = res.imax - res.ix
-    rise = res.ix - res.imin
-    return PathState(
-        t=res.steps * spec.time_per_step,
-        x=res.ix * h,
-        run_max=res.imax * h,
-        run_min=res.imin * h,
-        diameter=(res.imax - res.imin) * h,
-        gap=min(drop, rise) * h,
-        abs_sup=max(res.imax, -res.imin) * h,
-        drop_sup=res.idrop * h,
-        rise_sup=res.irise * h,
-        steps=res.steps,
-    )
-
-
 def run_until_stop(
     rule: StopRule,
     spec: LatticeSpec,
@@ -343,14 +237,49 @@ def run_until_stop(
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
 
-    def draw(length: int) -> np.ndarray:
-        return 2 * stream.integers(0, 2, size=length, dtype=np.int64) - 1
+    # Blocks of 2048 steps, doubling up to _MAX_BLOCK, each draw clipped to
+    # the steps left: the steps drawn past the firing step are used up from
+    # `stream`, so this schedule is part of the output.
+    steps = ix = imax = imin = idrop = irise = 0
+    fired = False
+    block = min(_FIRST_BLOCK, max_steps)
+    while not fired and steps < max_steps:
+        length = min(block, max_steps - steps)
+        pos = np.cumsum(2 * stream.integers(0, 2, size=length, dtype=np.int64) - 1)
+        if ix:
+            pos += ix
+        # The carried extremes include the origin, visited before step 1.
+        rmax = np.maximum.accumulate(pos)
+        np.maximum(rmax, imax, out=rmax)
+        rmin = np.minimum.accumulate(pos)
+        np.minimum(rmin, imin, out=rmin)
+        drop_run = np.maximum.accumulate(rmax - pos)
+        if idrop:
+            np.maximum(drop_run, idrop, out=drop_run)
+        mask = _fire_mask(kind, k, klo, khi, pos, rmax, rmin, drop_run)
+        fired = bool(mask.any())
+        end = int(mask.argmax()) + 1 if fired else length
+        irise = max(irise, int((pos[:end] - rmin[:end]).max()))
+        steps += end
+        ix = int(pos[end - 1])
+        imax = int(rmax[end - 1])
+        imin = int(rmin[end - 1])
+        idrop = int(drop_run[end - 1])
+        block = min(2 * block, _MAX_BLOCK)
 
-    res = drive_units(kind, k, klo, khi, draw, max_steps, True, True)
-    state = _state_from_units(res, spec)
+    h = spec.h
+    state = PathState(
+        t=steps * spec.time_per_step,
+        x=ix * h,
+        run_max=imax * h,
+        run_min=imin * h,
+        diameter=(imax - imin) * h,
+        gap=min(imax - ix, ix - imin) * h,
+        abs_sup=max(imax, -imin) * h,
+        drop_sup=idrop * h,
+        rise_sup=irise * h,
+        steps=steps,
+    )
     return StoppedPath(
-        stop_time=state.t,
-        terminal_x=state.x,
-        final_state=state,
-        fired=res.fired,
+        stop_time=state.t, terminal_x=state.x, final_state=state, fired=fired
     )

@@ -273,6 +273,9 @@ def test_lattice_mismatch_exits_1(capsys):
         ["simulate", "--trials", "10", "--seed", "-3"],
         ["simulate", "--trials", "10", "--workers", "0"],
         ["simulate", "--trials", "0"],
+        # dist also draws from seed + 1 .. seed + 3
+        ["dist", "--seed", str(2**64 - 3)],
+        ["qcheck", "--seed", str(2**70)],
     ],
 )
 def test_invalid_parameters_exit_1(argv, capsys):

@@ -43,7 +43,7 @@ from walkstop.mc_harness import (
     _gap_sweep_chunk,
     _philox_stream,
 )
-from walkstop.stopping_rules import drive_units, rule_units
+from walkstop.stopping_rules import run_until_stop
 
 UNIT = LatticeSpec(h=1.0)
 
@@ -295,6 +295,9 @@ def test_drift_check_structure_and_validation():
         drift_check(1.0, 1.0, 100, 3, (0.0, 2.0), spec=LatticeSpec(h=0.1))
     with pytest.raises(LatticeError):
         drift_check(1.0, 1.0, 100, 3, (0.0, 0.035), spec=LatticeSpec(h=0.1))
+    # distinct times that round to the same step count
+    with pytest.raises(ValueError, match="strictly increasing steps"):
+        drift_check(1.0, 1.0, 100, 3, (0.0, 1e-12, 1.0), spec=LatticeSpec(h=0.1))
 
 
 def test_drift_check_deterministic():
@@ -376,7 +379,7 @@ def test_worker_count_invariance_below_one_chunk():
 
 
 def test_philox_stream_block_splits_match_one_draw():
-    """The sweep pass and drive_units draw in different block sizes; both
+    """The sweep pass and run_until_stop draw in different block sizes; both
     rely on a stream giving the same signs however its draws are split."""
     split = _philox_stream(5, 3)
     parts = [split.integers(0, 2, size=m, dtype=np.int64) for m in (1, 7, 3, 2048)]
@@ -417,30 +420,26 @@ def test_step_stream_matches_generator_integers():
 
 
 def _reference_rewards(rule, spec, n, seed, max_steps):
-    """Per-trial reference: drive_units on the reference generator, rewards
-    from Python scalars."""
-    kind, k, klo, khi = rule_units(rule, spec)
-    h, tps = spec.h, spec.time_per_step
+    """Per-trial reference: run_until_stop on the reference generator,
+    rewards from its Python-float final state."""
     fired = np.zeros(n, dtype=bool)
     values = {name: np.full(n, np.nan) for name in REWARD_NAMES}
     for trial in range(n):
-        gen = _philox_stream(seed, trial)
-
-        def draw(length, g=gen):
-            return 2 * g.integers(0, 2, size=length, dtype=np.int64) - 1
-
-        r = drive_units(kind, k, klo, khi, draw, max_steps, True, False)
-        fired[trial] = r.fired
-        if r.fired:
+        out = run_until_stop(rule, spec, _philox_stream(seed, trial), max_steps)
+        fired[trial] = out.fired
+        if out.fired:
+            s = out.final_state
             for name, value in (
-                ("max", r.imax * h),
-                ("min_abs", -r.imin * h),
-                ("abs_sup", max(r.imax, -r.imin) * h),
-                ("diameter", (r.imax - r.imin) * h),
-                ("drop_sup", r.idrop * h),
-                ("stop_time", r.steps * tps),
-                ("terminal_sq", (r.ix * h) ** 2),
-                ("terminal_x", r.ix * h),
+                ("max", s.run_max),
+                # abs, not -run_min: the engine gives 0.0 where -0.0 would
+                # differ in its bytes
+                ("min_abs", abs(s.run_min)),
+                ("abs_sup", s.abs_sup),
+                ("diameter", s.diameter),
+                ("drop_sup", s.drop_sup),
+                ("stop_time", s.t),
+                ("terminal_sq", s.x ** 2),
+                ("terminal_x", s.x),
             ):
                 values[name][trial] = value
     return fired, values
@@ -485,6 +484,94 @@ def test_batched_engine_matches_per_trial_reference(monkeypatch, rule, max_steps
     assert (values["stop_time"] > 56 * spec.time_per_step).sum() > 10
     for workers in (1, 2):
         check(collect_rewards(rule, REWARD_NAMES, spec, n, seed, workers, max_steps))
+
+
+def _reference_signs(seed, trial, n_steps):
+    return 2 * _philox_stream(seed, trial).integers(0, 2, size=n_steps, dtype=np.int64) - 1
+
+
+def _reference_drift(c, horizon, n, seed, checkpoints, spec):
+    """drift_check's rows, each path walked alone to the horizon on the
+    reference generator; also the number of paths stopped by the last
+    checkpoint."""
+    d = 1.0 / (2.0 * c)
+    h, tps = spec.h, spec.time_per_step
+    k = spec.units(d, "d")
+    cp = np.array([round(t / tps) for t in checkpoints])
+    cp_times = cp * tps
+    d_un, g_un, d_st, g_st, t_st = (np.empty((n, cp.size)) for _ in range(5))
+    stopped_by_end = 0
+    for trial in range(n):
+        pos = np.cumsum(_reference_signs(seed, trial, round(horizon / tps)))
+        rmax = np.maximum(np.maximum.accumulate(pos), 0)
+        rmin = np.minimum(np.minimum.accumulate(pos), 0)
+        # Entry u is the state after u steps.
+        diam = np.concatenate(([0], rmax - rmin))
+        gap = np.concatenate(([0], np.minimum(rmax - pos, pos - rmin)))
+        d_un[trial] = diam[cp] * h
+        g_un[trial] = gap[cp] * h
+        s = int(np.argmax(gap >= k))  # 0: never fired, as gap[0] < k
+        stopped = (cp >= s) if s else np.zeros(cp.size, dtype=bool)
+        stopped_by_end += bool(stopped[-1])
+        d_st[trial] = np.where(stopped, diam[s] * h, d_un[trial])
+        g_st[trial] = np.where(stopped, k * h, g_un[trial])
+        t_st[trial] = np.where(stopped, s * tps, cp_times)
+    params = QParams(c=c, d=d)
+    q_un = q_value(params, d_un, g_un, np.broadcast_to(cp_times, d_un.shape))
+    q_st = q_value(params, d_st, g_st, t_st)
+
+    def rows(q):
+        diffs = np.diff(q, axis=1)
+        return [
+            (float(np.mean(col)), float(np.std(col, ddof=1) / math.sqrt(n)))
+            for col in diffs.T
+        ]
+
+    return rows(q_un), rows(q_st), stopped_by_end
+
+
+@pytest.mark.parametrize(
+    "c, h, horizon, checkpoints, n",
+    [
+        # a checkpoint at 0 and a last checkpoint before the horizon
+        (1.0, 0.1, 1.0, (0.0, 0.25, 0.5, 0.8), 500),
+        # first checkpoint after 0, c = 2
+        (2.0, 1.0 / 40, 0.5, (0.05, 0.2, 0.4), 300),
+    ],
+)
+def test_drift_check_matches_per_path_reference(c, h, horizon, checkpoints, n):
+    spec = LatticeSpec(h=h)
+    seed = 67
+    unstopped, stopped, stopped_by_end = _reference_drift(
+        c, horizon, n, seed, checkpoints, spec
+    )
+    assert 0 < stopped_by_end < n  # some paths never fire
+    for workers in (1, 2):
+        report = drift_check(c, horizon, n, seed, checkpoints, spec, workers)
+        assert [(r.mean, r.stderr) for r in report.unstopped] == unstopped
+        assert [(r.mean, r.stderr) for r in report.stopped] == stopped
+        assert report.checkpoints == checkpoints
+
+
+@pytest.mark.parametrize(
+    "h, n_steps", [(0.25, 16), (0.1, 37), (1.0 / 157, 1001), (0.5, 1)]
+)
+def test_levy_samples_match_per_path_reference(h, n_steps):
+    spec = LatticeSpec(h=h)
+    n, seed = 300, 71
+    drop, abs_x = np.empty(n), np.empty(n)
+    for trial in range(2 * n):
+        sgn = _reference_signs(seed, trial, n_steps)
+        x = int(np.sum(sgn))
+        top = int(max(np.max(np.cumsum(sgn)), 0))
+        if trial < n:
+            drop[trial] = (top - x) * h
+        else:
+            abs_x[trial - n] = abs(x) * h
+    for workers in (1, 2):
+        got = levy_samples(n_steps * spec.time_per_step, spec, n, seed, workers)
+        assert got[0].tobytes() == drop.tobytes()
+        assert got[1].tobytes() == abs_x.tobytes()
 
 
 def test_collect_rewards_rejects_nonpositive_max_steps():
