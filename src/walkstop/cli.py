@@ -46,28 +46,11 @@ from .mc_harness import (
 )
 from .path_engine import LatticeError, LatticeSpec
 from .q_process import QParams, payoff, q_gap_form, q_value
-from .stopping_rules import (
-    AbsGap,
-    DiameterReach,
-    Drawdown,
-    DropDrawdown,
-    FirstExit,
-    Gap,
-    Rise,
-)
+from .stopping_rules import _RULES, DiameterReach, Drawdown, DropDrawdown, Gap
 
 __all__ = ["main"]
 
 _PROG = "walkstop"
-
-_RULE_BUILDERS = {
-    "drawdown": Drawdown,
-    "rise": Rise,
-    "absgap": AbsGap,
-    "gap": Gap,
-    "dropdd": DropDrawdown,
-}
-
 
 class _CheckFailure(Exception):
     """Carries the list of failed --assert checks."""
@@ -100,8 +83,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate of one reward under one stopping rule")
-    p.add_argument("--rule", choices=tuple(_RULE_BUILDERS) + ("diameter", "exit"), default="gap")
-    p.add_argument("--d", type=float, default=1.0, help="threshold for drawdown/rise/absgap/gap/dropdd")
+    p.add_argument("--rule", choices=tuple(_RULES), default="gap")
+    p.add_argument("--d", type=float, default=1.0, help="threshold for the rules that take d")
     p.add_argument("--hdiam", type=float, default=None, help="target diameter for --rule diameter")
     p.add_argument("--lo", type=float, default=None, help="lower boundary for --rule exit")
     p.add_argument("--hi", type=float, default=None, help="upper boundary for --rule exit")
@@ -192,19 +175,13 @@ def _flat_rows(results: dict, prefix: str = "") -> list[tuple[str, object]]:
 
 
 def _cmd_simulate(args):
-    if args.rule in _RULE_BUILDERS:
-        scale = args.d
-        rule = _RULE_BUILDERS[args.rule](args.d)
-    elif args.rule == "diameter":
-        if args.hdiam is None:
-            raise ValueError("--rule diameter requires --hdiam")
-        scale = args.hdiam
-        rule = DiameterReach(args.hdiam)
-    else:
-        if args.lo is None or args.hi is None:
-            raise ValueError("--rule exit requires --lo and --hi")
-        scale = max(-args.lo, args.hi)
-        rule = FirstExit(args.lo, args.hi)
+    row = _RULES[args.rule]
+    values = [getattr(args, name) for name in row.fields]
+    if None in values:
+        flags = " and ".join(f"--{name}" for name in row.fields)
+        raise ValueError(f"--rule {args.rule} requires {flags}")
+    rule = row.cls(*values)
+    scale = max(abs(value) for value in values)
     h = args.h if args.h is not None else scale / 20.0
     spec = LatticeSpec(h=h)
     st_result = collect_rewards(
@@ -213,7 +190,7 @@ def _cmd_simulate(args):
     st = stats_from_sample(st_result.values[args.reward])
     params = {
         "rule": args.rule,
-        "d": args.d if args.rule in _RULE_BUILDERS else None,
+        "d": args.d if "d" in row.fields else None,
         "hdiam": args.hdiam,
         "lo": args.lo,
         "hi": args.hi,

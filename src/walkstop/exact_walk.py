@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .path_engine import LatticeSpec
-from .stopping_rules import (
-    Drawdown,
-    Gap,
-    StopRule,
-    rule_units,
-)
+from .stopping_rules import _RULES, StopRule, rule_units
 
 __all__ = [
     "ExitStats",
@@ -121,17 +116,10 @@ def exact_stop_steps(rule: StopRule, spec: LatticeSpec) -> float:
     first exit (-lo)(hi)/h^2.  No exact form is implemented for AbsGap.
     """
     kind, k, klo, khi = rule_units(rule, spec)
-    if kind == "diam":
-        return k * (k + 1) / 2.0
-    if kind in ("drawdown", "rise"):
-        return float(k * (k + 1))
-    if kind == "gap":
-        return float(3 * k * k + 2 * k)
-    if kind == "dropdd":
-        return float(2 * k * k + 2 * k)
-    if kind == "exit":
-        return float(-klo * khi)
-    raise ValueError(f"no exact expected step count for rule {rule!r}")
+    mean = _RULES[kind].mean
+    if mean is None:
+        raise ValueError(f"no exact expected step count for rule {rule!r}")
+    return float(mean(k, klo, khi))
 
 
 def exact_stop_time(rule: StopRule, spec: LatticeSpec) -> float:

@@ -17,14 +17,14 @@ from math import ceil, sqrt
 import numpy as np
 from scipy import stats as sps
 
-from .exact_walk import exact_stop_steps, walk_diameter_pmf
+from .exact_walk import walk_diameter_pmf
 from .path_engine import LatticeError, LatticeSpec
 from .q_process import QParams, q_value
 from .stopping_rules import (
     _MAX_BLOCK,
+    _RULES,
     Gap,
     StopRule,
-    _fire_mask,
     default_max_steps,
     rule_units,
 )
@@ -199,13 +199,13 @@ def _map_trials(fn, n: int, workers: int, *args) -> tuple[np.ndarray, ...]:
 
 
 def _block_hint(rule: StopRule, spec: LatticeSpec) -> int:
-    """First vectorized block size: a bit over the expected step count."""
-    try:
-        expected = exact_stop_steps(rule, spec)
-    except ValueError:
-        kind, k, _, _ = rule_units(rule, spec)
-        expected = 2 * k * k + 2 * k  # AbsGap: same scale as the drop rule
-    return int(min(32768, max(64, 1.25 * expected + 8)))
+    """First vectorized block size: a bit over the expected step count.
+
+    AbsGap has no exact mean; it is taken on the drop rule's scale.
+    """
+    kind, k, klo, khi = rule_units(rule, spec)
+    mean = _RULES[kind].mean or _RULES["dropdd"].mean
+    return int(min(_MAX_BLOCK, max(64, 1.25 * mean(k, klo, khi) + 8)))
 
 
 def _run_chunk(
@@ -259,7 +259,7 @@ def _run_chunk(
             if need_drop:
                 drop_run = np.maximum.accumulate(rmax - pos, axis=1)
                 np.maximum(drop_run, idrop[idx, None], out=drop_run)
-            mask = _fire_mask(kind, k, klo, khi, pos, rmax, rmin, drop_run)
+            mask = _RULES[kind].fires(k, klo, khi, pos, rmax, rmin, drop_run)
             hit = mask.any(axis=1)
             # Carry each row's state at its first firing step, or at the end
             # of the block when it walks on.
@@ -362,7 +362,7 @@ def collect_rewards(
         max_steps = default_max_steps(rule, spec)
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    need_drop = kind == "dropdd" or "drop_sup" in rewards
+    need_drop = _RULES[kind].reads_drop or "drop_sup" in rewards
     hint = _block_hint(rule, spec)
     fired, *arrays = _map_trials(
         _run_chunk, n, workers, rule, spec, seed, rewards, max_steps, need_drop, hint
@@ -658,6 +658,10 @@ def drift_check(
     for the raw process and for the process frozen at the gap rule's firing
     time.  The frozen process reads that firing from `collect_rewards` of
     Gap(d), which walks the same (seed, trial) streams.
+
+    `horizon` only bounds the checkpoints, which must lie in [0, horizon]:
+    paths are walked to the last checkpoint, never beyond it, so two calls
+    that differ only in `horizon` return the same report.
     """
     if not (c > 0.0):
         raise ValueError(f"c must be positive, got {c}")

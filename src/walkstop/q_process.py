@@ -31,7 +31,7 @@ DOMAIN_TOL = 1e-12
 
 
 class DomainError(ValueError):
-    """Raised when (delta, gamma, t) leaves the domain 0 <= gamma <= delta/2, t >= 0."""
+    """Raised when (delta, gamma, t) is NaN or leaves 0 <= gamma <= delta/2, t >= 0."""
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,9 @@ class QParams:
 
 
 def _check_domain(delta: np.ndarray, gamma: np.ndarray, t: np.ndarray | None) -> None:
+    # NaN fails every comparison below, so it must be rejected on its own.
+    if any(np.isnan(a).any() for a in (delta, gamma, t) if a is not None):
+        raise DomainError("delta, gamma and t must not be NaN")
     if np.any(gamma < -DOMAIN_TOL) or np.any(delta < -DOMAIN_TOL):
         raise DomainError("delta and gamma must be nonnegative")
     if np.any(gamma > delta / 2.0 + DOMAIN_TOL):
@@ -96,6 +99,8 @@ def payoff(delta, t, c):
     )
     if not (c > 0.0):
         raise ValueError(f"c must be positive, got {c}")
+    if np.isnan(delta_a).any() or np.isnan(t_a).any():
+        raise ValueError("delta and t must not be NaN")
     if np.any(delta_a < 0.0):
         raise ValueError("delta must be nonnegative")
     if np.any(t_a < 0.0):

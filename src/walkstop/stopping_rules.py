@@ -4,12 +4,18 @@ Each rule is a small frozen dataclass; `should_stop` evaluates the rule
 predicate on a PathState, and `run_until_stop` advances a fresh path until
 the predicate first holds (or a step guard runs out).  The driver works in
 integer lattice units internally, so threshold comparisons are exact.
+
+Each rule's facts live in one row of the table `_RULES`: its kind name (the
+CLI's --rule value), the fields that carry its thresholds, its exact
+expected step count and its vectorised firing predicate.  The batched
+engine, the exact layer and the CLI read that row; `should_stop` stays the
+scalar reference they are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -140,82 +146,89 @@ def should_stop(rule: StopRule, state: PathState) -> bool:
     raise TypeError(f"unknown rule {rule!r}")
 
 
-# Internal integer-unit encoding of a rule under a given lattice.
+@dataclass(frozen=True)
+class _Rule:
+    """One row of the rule table: a rule's facts, thresholds in lattice units.
 
-_GAP_FAMILY = {
-    Drawdown: "drawdown",
-    Rise: "rise",
-    AbsGap: "absgap",
-    Gap: "gap",
-    DropDrawdown: "dropdd",
+    `fields` names the dataclass fields that carry the thresholds: one, of
+    k units, or FirstExit's two, of klo and khi units.  `mean(k, klo, khi)`
+    is the exact expected step count, or None where no closed form is
+    implemented.  `fires(k, klo, khi, pos, rmax, rmin, drop_run)` is the
+    firing predicate, elementwise over lattice-unit arrays of any shape, so
+    a walk runs along the last axis of a 1-D block or of a batch of trials
+    alike: `pos` holds positions, `rmax`/`rmin` the running extremes (the
+    origin included) and `drop_run` the running drop supremum, which is
+    read only when `reads_drop` is set.
+    """
+
+    cls: type
+    fields: tuple[str, ...]
+    mean: Callable[[int, int, int], float] | None
+    fires: Callable[..., np.ndarray]
+    reads_drop: bool = False
+
+
+# Keyed by kind name, in the CLI's --rule order.
+_RULES = {
+    "drawdown": _Rule(
+        Drawdown, ("d",), lambda k, lo, hi: k * (k + 1),
+        lambda k, lo, hi, x, mx, mn, dr: mx - x >= k,
+    ),
+    "rise": _Rule(
+        Rise, ("d",), lambda k, lo, hi: k * (k + 1),
+        lambda k, lo, hi, x, mx, mn, dr: x - mn >= k,
+    ),
+    "absgap": _Rule(
+        AbsGap, ("d",), None,
+        lambda k, lo, hi, x, mx, mn, dr: np.maximum(mx, -mn) - np.abs(x) >= k,
+    ),
+    "gap": _Rule(
+        Gap, ("d",), lambda k, lo, hi: 3 * k * k + 2 * k,
+        lambda k, lo, hi, x, mx, mn, dr: (mx - x >= k) & (x - mn >= k),
+    ),
+    "dropdd": _Rule(
+        DropDrawdown, ("d",), lambda k, lo, hi: 2 * k * k + 2 * k,
+        lambda k, lo, hi, x, mx, mn, dr: dr - (mx - x) >= k, reads_drop=True,
+    ),
+    "diameter": _Rule(
+        DiameterReach, ("hdiam",), lambda k, lo, hi: k * (k + 1) / 2.0,
+        lambda k, lo, hi, x, mx, mn, dr: mx - mn >= k,
+    ),
+    "exit": _Rule(
+        FirstExit, ("lo", "hi"), lambda k, lo, hi: -lo * hi,
+        lambda k, lo, hi, x, mx, mn, dr: (x <= lo) | (x >= hi),
+    ),
 }
+_KINDS = {row.cls: kind for kind, row in _RULES.items()}
 
 
 def rule_units(rule: StopRule, spec: LatticeSpec) -> tuple[str, int, int, int]:
     """Validate rule thresholds against the lattice; return (kind, k, klo, khi)."""
-    kind = _GAP_FAMILY.get(type(rule))
-    if kind is not None:
-        k = spec.units(rule.d, "d")
-        if k < 1:
-            raise ValueError(f"threshold {rule.d} is below one lattice step")
-        return kind, k, 0, 0
-    if isinstance(rule, DiameterReach):
-        k = spec.units(rule.hdiam, "hdiam")
-        if k < 1:
-            raise ValueError(f"hdiam {rule.hdiam} is below one lattice step")
-        return "diam", k, 0, 0
-    if isinstance(rule, FirstExit):
-        klo = spec.units(rule.lo, "lo")
-        khi = spec.units(rule.hi, "hi")
-        return "exit", 0, klo, khi
-    raise TypeError(f"unknown rule {rule!r}")
+    kind = _KINDS.get(type(rule))
+    if kind is None:
+        raise TypeError(f"unknown rule {rule!r}")
+    fields = _RULES[kind].fields
+    units = [spec.units(getattr(rule, name), name) for name in fields]
+    if len(units) == 2:
+        return kind, 0, *units
+    if units[0] < 1:
+        name = "threshold" if fields[0] == "d" else fields[0]
+        raise ValueError(f"{name} {getattr(rule, fields[0])} is below one lattice step")
+    return kind, units[0], 0, 0
 
 
 def default_max_steps(rule: StopRule, spec: LatticeSpec) -> int:
-    """Step guard: 400 * (scale/h)**2, roughly 100x the expected step count."""
-    kind, k, klo, khi = rule_units(rule, spec)
-    if kind == "exit":
-        half = max(-klo, khi)
-        return 400 * half * half
-    return 400 * k * k
+    """Step guard: 400 * scale**2, about 100x the expected step count.
+
+    `scale` is the largest threshold in lattice units.
+    """
+    _, k, klo, khi = rule_units(rule, spec)
+    scale = max(k, -klo, khi)
+    return 400 * scale * scale
 
 
 _FIRST_BLOCK = 2048
 _MAX_BLOCK = 32768
-
-
-def _fire_mask(
-    kind: str,
-    k: int,
-    klo: int,
-    khi: int,
-    pos: np.ndarray,
-    rmax: np.ndarray,
-    rmin: np.ndarray,
-    drop_run: np.ndarray | None,
-) -> np.ndarray:
-    """Where the rule's predicate holds, elementwise over lattice-unit arrays.
-
-    `pos` holds positions, `rmax`/`rmin` the running extremes (the origin
-    included) and `drop_run` the running drop supremum, which only the
-    dropdd rule reads.  Arrays of any shape work, so a walk runs along the
-    last axis of a 1-D block or of a batch of trials alike.
-    """
-    if kind == "drawdown":
-        return rmax - pos >= k
-    if kind == "rise":
-        return pos - rmin >= k
-    if kind == "absgap":
-        return np.maximum(rmax, -rmin) - np.abs(pos) >= k
-    if kind == "gap":
-        return (rmax - pos >= k) & (pos - rmin >= k)
-    if kind == "dropdd":
-        return drop_run - (rmax - pos) >= k
-    if kind == "diam":
-        return rmax - rmin >= k
-    if kind == "exit":
-        return (pos <= klo) | (pos >= khi)
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 def run_until_stop(
@@ -256,7 +269,7 @@ def run_until_stop(
         drop_run = np.maximum.accumulate(rmax - pos)
         if idrop:
             np.maximum(drop_run, idrop, out=drop_run)
-        mask = _fire_mask(kind, k, klo, khi, pos, rmax, rmin, drop_run)
+        mask = _RULES[kind].fires(k, klo, khi, pos, rmax, rmin, drop_run)
         fired = bool(mask.any())
         end = int(mask.argmax()) + 1 if fired else length
         irise = max(irise, int((pos[:end] - rmin[:end]).max()))

@@ -6,13 +6,15 @@ without spawning subprocesses.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
 
 import pytest
 
-from walkstop.cli import main
+from walkstop.cli import _build_parser, main
+from walkstop.stopping_rules import _RULES
 
 META_KEYS = {"command", "params", "results", "censored", "seed"}
 
@@ -67,6 +69,47 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     code, out2, _ = run_cli(argv + ["--out", str(target)], capsys)
     assert code == 0 and out2 == ""
     assert target.read_text(encoding="utf-8") == out
+
+
+# --- every rule of the rule table --------------------------------------------------
+
+# The threshold flags each --rule value reads besides --d, in --rule order.
+RULE_FLAGS = {
+    "drawdown": {},
+    "rise": {},
+    "absgap": {},
+    "gap": {},
+    "dropdd": {},
+    "diameter": {"hdiam": 0.5},
+    "exit": {"lo": -0.25, "hi": 0.5},
+}
+
+
+@pytest.mark.parametrize("rule", list(RULE_FLAGS))
+def test_simulate_runs_every_rule_and_echoes_its_thresholds(rule, capsys):
+    flags = RULE_FLAGS[rule]
+    base = ["simulate", "--rule", rule, "--d", "0.5", "--h", "0.125",
+            "--trials", "200", "--no-meta"]
+    code, out, err = run_cli(base + [f"--{k}={v}" for k, v in flags.items()], capsys)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["censored"] == 0
+    params = payload["params"]
+    assert params["rule"] == rule
+    assert params["d"] == (None if flags else 0.5)
+    for name in ("hdiam", "lo", "hi"):
+        assert params[name] == flags.get(name)
+    if flags:
+        code, out, err = run_cli(base, capsys)
+        assert code == 1 and out == ""
+        wanted = " and ".join(f"--{name}" for name in flags)
+        assert err == f"walkstop: invalid parameters: --rule {rule} requires {wanted}\n"
+
+
+def test_rule_choices_are_the_rule_table():
+    simulate = _build_parser()._subparsers._group_actions[0].choices["simulate"]
+    (action,) = [a for a in simulate._actions if a.dest == "rule"]
+    assert tuple(action.choices) == tuple(_RULES) == tuple(RULE_FLAGS)
 
 
 # --- closed-forms golden table -----------------------------------------------------
@@ -312,6 +355,49 @@ def test_seed_resolution_from_environment(monkeypatch, capsys):
     monkeypatch.setenv("MDL_SEED", "not-a-number")
     code, _, err = run_cli(["closed-forms", "--no-meta"], capsys)
     assert code == 1 and err.startswith("walkstop: invalid parameters:")
+
+
+# --- byte identity of --no-meta output ---------------------------------------------
+
+# sha256 of each command's stdout with `--seed 1 --no-meta`, recorded before
+# the rule table replaced per-module rule dispatch (numpy 2.4, x86-64 Linux).
+# Refactors and speed-ups must leave every byte as it is; a change that moves
+# the random stream on purpose records new digests and says so.
+NO_META_DIGESTS = {
+    "simulate --rule drawdown --h 0.1 --trials 2000 --reward terminal_sq":
+        "6b9a9714b7daf5a5f1dd80cc8b0e6d809dacd3292480f905c2815e17388210da",
+    "simulate --rule rise --d 0.5 --h 0.0625 --trials 2000 --reward min_abs":
+        "9b6b7a634a4c879a9103765d8f6380ab7e39ff5b00526b32db83fbf6b93cca19",
+    "simulate --rule absgap --h 0.1 --trials 2000 --reward abs_sup":
+        "1ef723351e01771a0b87a50ee03dd292152e99555518c602027376e7f4fa48f1",
+    "simulate --rule gap --trials 2000 --reward diameter":
+        "e362fa15c1b8a4c0c63c7a7c9a90843ec9a2df5813a951bfe38e44bae4bcdc50",
+    "simulate --rule dropdd --h 0.1 --trials 2000 --reward drop_sup":
+        "d6073fffeb90b074a8bbbb2ba29a6f2df5af3127a2e72e8d0beb6d74a7655e08",
+    "simulate --rule diameter --hdiam 0.5 --trials 2000 --reward terminal_x":
+        "34fa776d77b66e57262bc25359037961dae771730d3bab110327563e073a24a1",
+    "simulate --rule exit --lo -0.25 --hi 0.5 --trials 2000":
+        "aeee5396f4d8d9f7f6639a50ad6ef9fbd2078ddd589e26849893ccc05693abcf",
+    "bounds --h 0.1 --trials 2000":
+        "32dca947e9ce478bc65058ec77c1812d634ba079456a63918353f3f3444f69b6",
+    "sweep --grid 0.5,0.25 --h 0.0625 --trials 1000":
+        "b3a49baf208df5d61d59e8074ba828fd2aba37d024403dcf0fbc18d1e9db0071",
+    "dist --h 0.05 --trials 1000 --t 0.25":
+        "4449baa878ecdfe5e74a4f207d30fc6f1667130f325c3a4de1d6a21f40b00c3c",
+    "dp --h 0.05 --cap 60":
+        "b007268e79572b5ca9993dc8a293ecd75627f30c61b09ba0b6eb4464231fc67c",
+    "qcheck --grid 40":
+        "882742a6bd3a3a5f951d0b26693c1d989fa8a8365a124988099f2f7e33a96c84",
+    "closed-forms":
+        "5bddaf4a2ede2225565c591e320d9fde0d1a9fb95fa632e75bc787898f3e8560",
+}
+
+
+@pytest.mark.parametrize("command", list(NO_META_DIGESTS))
+def test_no_meta_output_bytes_match_recorded_digest(command, capsys):
+    code, out, err = run_cli(command.split() + ["--seed", "1", "--no-meta"], capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == NO_META_DIGESTS[command]
 
 
 # --- determinism across worker counts ----------------------------------------------

@@ -118,6 +118,25 @@ def test_domain_rejection():
     assert q_value(p, 1.0, 0.5 + 1e-13, 0.0) >= 0.0
 
 
+def test_nan_is_a_domain_error():
+    # NaN fails every domain comparison; q_gap_form(1, nan, 0) used to
+    # fall through to the wide branch and return 0.25.
+    p = QParams(c=1.0, d=0.5)
+    for delta, gamma in ((np.nan, 0.0), (1.0, np.nan), (np.array([1.0, np.nan]), 0.2)):
+        with pytest.raises(DomainError, match="NaN"):
+            q_gap_form(1.0, delta, gamma)
+        with pytest.raises(DomainError, match="NaN"):
+            q_value(p, delta, gamma, 0.0)
+    with pytest.raises(DomainError, match="NaN"):
+        q_value(p, 1.0, 0.2, np.nan)
+
+
+def test_payoff_rejects_nan():
+    for delta, t in ((np.nan, 0.0), (1.0, np.nan), (np.array([1.0, np.nan]), 0.0)):
+        with pytest.raises(ValueError, match="NaN"):
+            payoff(delta, t, 1.0)
+
+
 def test_scalar_in_scalar_out_array_in_array_out():
     p = QParams.optimal(1.0)
     out = q_value(p, 1.0, 0.25, 0.5)
