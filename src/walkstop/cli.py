@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from datetime import datetime, timezone
@@ -61,7 +62,14 @@ class _CheckFailure(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser that reports argument errors on stderr with exit 1."""
+    """argparse parser that reports argument errors on stderr with exit 1.
+
+    Negative numbers in exponent notation (`--lo -1e-3`) are values, not options.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

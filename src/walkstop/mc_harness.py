@@ -5,6 +5,11 @@ trials are dispatched to workers in contiguous chunks merged back in trial
 order, so every result is bit-identical for a given seed regardless of the
 worker count.  Censored trials (step guard exhausted) are excluded from all
 moments but always counted and reported.
+
+Two scans walk the paths: the batched first-passage engine `_run_chunk`,
+which serves `collect_rewards` and, with nested thresholds, `sweep_payoff`,
+and the checkpoint kernel `_fixed_time_chunk`, which serves `levy_samples`
+and `drift_check`.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .q_process import QParams, q_value
 from .stopping_rules import (
     _MAX_BLOCK,
     _RULES,
+    _block_hint,
     Gap,
     StopRule,
     default_max_steps,
@@ -198,49 +204,45 @@ def _map_trials(fn, n: int, workers: int, *args) -> tuple[np.ndarray, ...]:
     return tuple(np.concatenate(arrays) for arrays in zip(*results))
 
 
-def _block_hint(rule: StopRule, spec: LatticeSpec) -> int:
-    """First vectorized block size: a bit over the expected step count.
-
-    AbsGap has no exact mean; it is taken on the drop rule's scale.
-    """
-    kind, k, klo, khi = rule_units(rule, spec)
-    mean = _RULES[kind].mean or _RULES["dropdd"].mean
-    return int(min(_MAX_BLOCK, max(64, 1.25 * mean(k, klo, khi) + 8)))
-
-
 def _run_chunk(
     lo: int,
     hi: int,
-    rule: StopRule,
+    rules: tuple[StopRule, ...],
+    guards: tuple[int, ...],
     spec: LatticeSpec,
     seed: int,
     rewards: tuple[str, ...],
-    max_steps: int,
-    need_drop: bool,
     hint: int,
 ) -> tuple[np.ndarray, ...]:
-    """Rewards of trials [lo, hi), all walked together as rows of one array.
+    """Rewards of trials [lo, hi) at each rule, all trials walked together.
 
-    Every trial still walking takes the same block of steps, in sub-batches
-    of at most _BATCH_STEPS steps, and leaves at its first firing step.
-    The first block is `hint` rounded up to a multiple of 8; blocks then
-    double up to _MAX_BLOCK.  Each row is scanned in step order from its
-    carried position, extremes and drop supremum, so results never depend
-    on the block split.  A trial whose first firing step exceeds
-    `max_steps` is censored.
+    `rules` are rules of one kind with strictly increasing thresholds, so
+    each fires no earlier than the one before; a single rule is the common
+    case.  Every trial still walking takes the same block of steps, in
+    sub-batches of at most _BATCH_STEPS steps, as rows of one array.  The
+    first block is `hint` rounded up to a multiple of 8; blocks then double
+    up to _MAX_BLOCK.  Each row is scanned in step order from the state
+    carried from its last block, so results never depend on the block
+    split.  A trial records its state at each rule's first firing step and
+    leaves when the last rule fires; rule i is censored when that step
+    exceeds guards[i].  Results have shape (hi - lo, len(rules)).
     """
-    kind, k, klo, khi = rule_units(rule, spec)
+    units = [rule_units(rule, spec) for rule in rules]
+    kind, _, klo, khi = units[0]
+    ks = [k for _, k, _, _ in units]
+    fires = _RULES[kind].fires
+    need_drop = _RULES[kind].reads_drop or "drop_sup" in rewards
     stream = _Steps(seed)
-    m = hi - lo
-    steps = np.zeros(m, dtype=np.int64)  # first firing step, 0 while walking
-    ix = np.zeros(m, dtype=np.int64)
-    imax = np.zeros(m, dtype=np.int64)
-    imin = np.zeros(m, dtype=np.int64)
-    idrop = np.zeros(m, dtype=np.int64)
+    m, u = hi - lo, len(rules)
+    # Each trial's state at each rule's first firing step, 0 until then.
+    steps, ix, imax, imin, idrop = np.zeros((5, m, u), dtype=np.int64)
+    # The state at the end of the latest block, carried into the next.
+    cx, cmax, cmin, cdrop = np.zeros((4, m), dtype=np.int64)
+    pending = np.zeros(m, dtype=np.int64)  # each trial's first rule yet to fire
     live = np.arange(m)
     walked = 0
     block = -(-hint // 8) * 8
-    while live.size and walked < max_steps:
+    while live.size and walked < max(guards):
         batch = max(1, _BATCH_STEPS // block)
         walking = []
         for a in range(0, live.size, batch):
@@ -248,40 +250,59 @@ def _run_chunk(
             words = np.empty((idx.size, block // 2), dtype=np.uint64)
             for row, trial in enumerate(idx.tolist()):
                 words[row] = stream.words(lo + trial, walked, block // 2)
+            # The carried state enters through each row's first column, so
+            # one scan per quantity continues it.
             pos = _signs(words, block)
+            pos[:, 0] += cx[idx]
             np.cumsum(pos, axis=1, out=pos)
-            pos += ix[idx, None]
+            x0 = pos[:, 0].copy()
+            pos[:, 0] = np.maximum(x0, cmax[idx])
             rmax = np.maximum.accumulate(pos, axis=1)
-            np.maximum(rmax, imax[idx, None], out=rmax)
+            pos[:, 0] = np.minimum(x0, cmin[idx])
             rmin = np.minimum.accumulate(pos, axis=1)
-            np.minimum(rmin, imin[idx, None], out=rmin)
+            pos[:, 0] = x0
             drop_run = None
             if need_drop:
-                drop_run = np.maximum.accumulate(rmax - pos, axis=1)
-                np.maximum(drop_run, idrop[idx, None], out=drop_run)
-            mask = _RULES[kind].fires(k, klo, khi, pos, rmax, rmin, drop_run)
-            hit = mask.any(axis=1)
-            # Carry each row's state at its first firing step, or at the end
-            # of the block when it walks on.
-            at = np.where(hit, mask.argmax(axis=1), block - 1)
+                drop_run = rmax - pos
+                np.maximum(drop_run[:, 0], cdrop[idx], out=drop_run[:, 0])
+                np.maximum.accumulate(drop_run, axis=1, out=drop_run)
             rows = np.arange(idx.size)
-            ix[idx] = pos[rows, at]
-            imax[idx] = rmax[rows, at]
-            imin[idx] = rmin[rows, at]
+            todo = pending[idx]
+            col = np.full((idx.size, u), -1)  # where each rule fired in this block
+            # Rule i fires no earlier than rule i - 1, so it is looked for from
+            # the first column where a row's rule i - 1 fired in this block.
+            first = np.zeros(idx.size, dtype=np.int64)
+            for i in range(int(todo.min()), u):
+                can = todo == i
+                s = first.min(where=can, initial=block - 1)
+                mask = fires(
+                    ks[i], klo, khi, pos[:, s:], rmax[:, s:], rmin[:, s:],
+                    drop_run[:, s:] if need_drop else None,
+                )
+                at = mask.argmax(axis=1)
+                hit = mask[rows, at] & can
+                at += s
+                todo += hit
+                np.copyto(first, at, where=hit)
+                np.copyto(col[:, i], at, where=hit)
+            r, i = np.nonzero(col >= 0)
+            at, trials = col[r, i], idx[r]
+            steps[trials, i] = walked + at + 1
+            ix[trials, i] = pos[r, at]
+            imax[trials, i] = rmax[r, at]
+            imin[trials, i] = rmin[r, at]
+            cx[idx], cmax[idx], cmin[idx] = pos[:, -1], rmax[:, -1], rmin[:, -1]
             if need_drop:
-                idrop[idx] = drop_run[rows, at]
-            steps[idx[hit]] = walked + at[hit] + 1
-            walking.append(idx[~hit])
+                idrop[trials, i] = drop_run[r, at]
+                cdrop[idx] = drop_run[:, -1]
+            pending[idx] = todo
+            walking.append(idx[todo < u])
         live = np.concatenate(walking)
         walked += block
         block = min(2 * block, _MAX_BLOCK)
-    fired = (steps > 0) & (steps <= max_steps)
-    arrays = []
-    for name in rewards:
-        values = _reward_values(name, spec, steps, ix, imax, imin, idrop)
-        values[~fired] = np.nan
-        arrays.append(values)
-    return (fired, *arrays)
+    fired = (steps > 0) & (steps <= np.array(guards))
+    state = (spec, steps, ix, imax, imin, idrop)
+    return fired, *(np.where(fired, _reward_values(r, *state), np.nan) for r in rewards)
 
 
 def _reward_values(
@@ -357,18 +378,16 @@ def collect_rewards(
         raise ValueError(f"duplicate reward names in {rewards}")
     _check_trials(n, seed)
 
-    kind, _, _, _ = rule_units(rule, spec)
     if max_steps is None:
         max_steps = default_max_steps(rule, spec)
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    need_drop = _RULES[kind].reads_drop or "drop_sup" in rewards
-    hint = _block_hint(rule, spec)
     fired, *arrays = _map_trials(
-        _run_chunk, n, workers, rule, spec, seed, rewards, max_steps, need_drop, hint
+        _run_chunk, n, workers, (rule,), (max_steps,), spec, seed, rewards,
+        _block_hint(rule, spec),
     )
-    values = dict(zip(rewards, arrays))
-    return CollectResult(values=values, fired=fired)
+    values = {name: a[:, 0] for name, a in zip(rewards, arrays)}
+    return CollectResult(values=values, fired=fired[:, 0])
 
 
 def stats_from_sample(sample, censored: int = 0) -> TrialStats:
@@ -758,72 +777,6 @@ class SweepResult:
     argmax_d: float
 
 
-def _gap_sweep_chunk(
-    lo: int,
-    hi: int,
-    spec: LatticeSpec,
-    seed: int,
-    ks: tuple[int, ...],
-    guards: tuple[int, ...],
-    hint: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diameter and stop time of the gap rule at each of the nested thresholds.
-
-    `ks` are strictly increasing thresholds in lattice units.  Each trial's
-    path is walked once: threshold i fires at the first step where the gap
-    reaches ks[i], and is censored (NaN) when that step lies beyond
-    guards[i].  The walk ends when every threshold has fired or the largest
-    guard runs out.  Results have shape (hi - lo, len(ks)) and equal those
-    of the gap rule run separately at each threshold with its own guard.
-    """
-    h = spec.h
-    tps = spec.time_per_step
-    m = hi - lo
-    u = len(ks)
-    kv = np.array(ks, dtype=np.int64)
-    limit = max(guards)
-    steps = np.full((m, u), limit + 1, dtype=np.int64)
-    span = np.zeros((m, u), dtype=np.int64)
-    stream = _Steps(seed)
-    for j in range(m):
-        walked = ix = imax = imin = 0
-        nxt = 0  # thresholds below nxt have fired
-        block = -(-hint // 8) * 8  # blocks start on whole Philox counter values
-        while nxt < u and walked < limit:
-            length = min(block, limit - walked)
-            pos = stream.signs(lo + j, walked, length)
-            np.cumsum(pos, out=pos)
-            if ix:
-                pos += ix
-            rmax = np.maximum.accumulate(pos)
-            np.maximum(rmax, imax, out=rmax)
-            rmin = np.minimum.accumulate(pos)
-            np.minimum(rmin, imin, out=rmin)
-            gap = rmax - pos
-            np.minimum(gap, pos - rmin, out=gap)
-            # Every threshold still pending exceeds each earlier gap, so its
-            # first firing is where this block's running max first reaches it.
-            np.maximum.accumulate(gap, out=gap)
-            at = np.searchsorted(gap, kv[nxt:])
-            reached = int(np.searchsorted(at, length))
-            if reached:
-                at = at[:reached]
-                steps[j, nxt : nxt + reached] = walked + at + 1
-                span[j, nxt : nxt + reached] = rmax[at] - rmin[at]
-                nxt += reached
-            walked += length
-            ix = int(pos[-1])
-            imax = int(rmax[-1])
-            imin = int(rmin[-1])
-            block = min(2 * block, _MAX_BLOCK)
-    censored = steps > np.array(guards, dtype=np.int64)
-    diameter = span * h
-    stop_time = steps * tps
-    diameter[censored] = np.nan
-    stop_time[censored] = np.nan
-    return diameter, stop_time
-
-
 def sweep_payoff(
     c: float,
     d_grid,
@@ -837,8 +790,9 @@ def sweep_payoff(
     The same seed (hence the same sign sequences) is reused across grid
     points — common random numbers — which leaves each point's estimate
     unbiased while stabilizing comparisons across d.  Each path is walked
-    once for the whole grid, up to the largest threshold; every point
-    equals a separate `collect_rewards` run of Gap(d) with its own guard.
+    once for the whole grid, as nested thresholds of the batched engine, up
+    to the largest threshold; every point equals a separate
+    `collect_rewards` run of Gap(d) with its own guard.
     """
     if not (c > 0.0):
         raise ValueError(f"c must be positive, got {c}")
@@ -846,25 +800,16 @@ def sweep_payoff(
     if not grid:
         raise ValueError("d_grid is empty")
     _check_trials(n, seed)
-    point_ks = []
-    guards = {}
-    for d in grid:
-        rule = Gap(d)
-        k = rule_units(rule, spec)[1]
-        point_ks.append(k)
-        guards[k] = default_max_steps(rule, spec)
-    ks = tuple(sorted(guards))
+    point_ks = [rule_units(Gap(d), spec)[1] for d in grid]
+    rules = dict(zip(point_ks, map(Gap, grid)))
+    ks = sorted(rules)
+    chain = tuple(rules[k] for k in ks)
+    guards = tuple(default_max_steps(rule, spec) for rule in chain)
     # The pass walks until the largest threshold fires: size its first block
     # for that walk.
-    diameter, stop_time = _map_trials(
-        _gap_sweep_chunk,
-        n,
-        workers,
-        spec,
-        seed,
-        ks,
-        tuple(guards[k] for k in ks),
-        _block_hint(Gap(max(grid)), spec),
+    _, diameter, stop_time = _map_trials(
+        _run_chunk, n, workers, chain, guards, spec, seed,
+        ("diameter", "stop_time"), _block_hint(chain[-1], spec),
     )
     points = []
     for d, k in zip(grid, point_ks):

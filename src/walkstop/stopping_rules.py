@@ -209,11 +209,12 @@ def rule_units(rule: StopRule, spec: LatticeSpec) -> tuple[str, int, int, int]:
         raise TypeError(f"unknown rule {rule!r}")
     fields = _RULES[kind].fields
     units = [spec.units(getattr(rule, name), name) for name in fields]
+    for name, unit in zip(fields, units):
+        if abs(unit) < 1:  # FirstExit's lo lies -unit steps out
+            label = "threshold" if name == "d" else name
+            raise ValueError(f"{label} {getattr(rule, name)} is below one lattice step")
     if len(units) == 2:
         return kind, 0, *units
-    if units[0] < 1:
-        name = "threshold" if fields[0] == "d" else fields[0]
-        raise ValueError(f"{name} {getattr(rule, fields[0])} is below one lattice step")
     return kind, units[0], 0, 0
 
 
@@ -229,6 +230,16 @@ def default_max_steps(rule: StopRule, spec: LatticeSpec) -> int:
 
 _FIRST_BLOCK = 2048
 _MAX_BLOCK = 32768
+
+
+def _block_hint(rule: StopRule, spec: LatticeSpec) -> int:
+    """First block size of a scan: a bit over the expected step count.
+
+    AbsGap has no exact mean; it is taken on the drop rule's scale.
+    """
+    kind, k, klo, khi = rule_units(rule, spec)
+    mean = _RULES[kind].mean or _RULES["dropdd"].mean
+    return int(min(_MAX_BLOCK, max(64, 1.25 * mean(k, klo, khi) + 8)))
 
 
 def run_until_stop(
@@ -250,12 +261,13 @@ def run_until_stop(
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
 
-    # Blocks of 2048 steps, doubling up to _MAX_BLOCK, each draw clipped to
-    # the steps left: the steps drawn past the firing step are used up from
-    # `stream`, so this schedule is part of the output.
+    # A first block of _block_hint steps, at most _FIRST_BLOCK (an early stop
+    # wastes the rest of a long block), doubling up to _MAX_BLOCK, each draw
+    # clipped to the steps left: the steps drawn past the firing step are
+    # used up from `stream`, so this schedule is part of the output.
     steps = ix = imax = imin = idrop = irise = 0
     fired = False
-    block = min(_FIRST_BLOCK, max_steps)
+    block = min(_block_hint(rule, spec), _FIRST_BLOCK, max_steps)
     while not fired and steps < max_steps:
         length = min(block, max_steps - steps)
         pos = np.cumsum(2 * stream.integers(0, 2, size=length, dtype=np.int64) - 1)

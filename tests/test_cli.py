@@ -319,12 +319,23 @@ def test_lattice_mismatch_exits_1(capsys):
         # dist also draws from seed + 1 .. seed + 3
         ["dist", "--seed", str(2**64 - 3)],
         ["qcheck", "--seed", str(2**70)],
+        # an exit boundary within one lattice step of the origin
+        ["simulate", "--rule", "exit", "--lo=-1e-12", "--hi", "1", "--h", "1"],
     ],
 )
 def test_invalid_parameters_exit_1(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""
     assert err.startswith("walkstop: invalid parameters:")
+
+
+def test_negative_values_in_exponent_notation_parse(capsys):
+    base = ["simulate", "--rule", "exit", "--hi", "0.002", "--h", "0.001",
+            "--trials", "50", "--seed", "1", "--no-meta"]
+    code, out, err = run_cli(base + ["--lo", "-1e-3"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["params"]["lo"] == -0.001
+    assert run_cli(base + ["--lo=-1e-3"], capsys) == (0, out, "")
 
 
 def test_unwritable_out_exits_1(tmp_path, capsys):
@@ -382,6 +393,9 @@ NO_META_DIGESTS = {
         "32dca947e9ce478bc65058ec77c1812d634ba079456a63918353f3f3444f69b6",
     "sweep --grid 0.5,0.25 --h 0.0625 --trials 1000":
         "b3a49baf208df5d61d59e8074ba828fd2aba37d024403dcf0fbc18d1e9db0071",
+    # one trial per sub-batch, as in the default sweep
+    "sweep --grid 0.5,0.25 --h 0.00625 --trials 40":
+        "55bb3246554d65346f04ec190a435f85055b65c49c2ec28704d89c5436b35a28",
     "dist --h 0.05 --trials 1000 --t 0.25":
         "4449baa878ecdfe5e74a4f207d30fc6f1667130f325c3a4de1d6a21f40b00c3c",
     "dp --h 0.05 --cap 60":

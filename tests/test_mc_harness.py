@@ -40,8 +40,8 @@ from walkstop.mc_harness import (
     REWARD_NAMES,
     _CHUNK,
     _Steps,
-    _gap_sweep_chunk,
     _philox_stream,
+    _run_chunk,
 )
 from walkstop.stopping_rules import run_until_stop
 
@@ -337,20 +337,32 @@ def test_estimate_seed_validation():
 
 # --- one-pass sweep, fan-out and stream pins -------------------------------------------
 
-def test_sweep_matches_separate_gap_runs_on_unsorted_duplicate_grid():
+def test_sweep_matches_separate_gap_runs_on_unsorted_duplicate_grid(monkeypatch):
     spec = LatticeSpec(h=0.0625)
     grid = [0.75, 0.25, 0.5, 0.25]
-    result = sweep_payoff(1.0, grid, spec, 600, 37)
-    assert [p.d for p in result.points] == grid
-    for point in result.points:
-        run = collect_rewards(Gap(point.d), ("diameter", "stop_time"), spec, 600, 37)
-        payoff = run.values["diameter"] - 1.0 * run.values["stop_time"]
-        assert point.payoff == stats_from_sample(payoff)
+
+    def check():
+        result = sweep_payoff(1.0, grid, spec, 600, 37)
+        assert [p.d for p in result.points] == grid
+        for point in result.points:
+            run = collect_rewards(Gap(point.d), ("diameter", "stop_time"), spec, 600, 37)
+            payoff = run.values["diameter"] - 1.0 * run.values["stop_time"]
+            assert point.payoff == stats_from_sample(payoff)
+        return result
+
+    first = check()
+    # Blocks of 8, 16, 32, ... steps with every row in one sub-batch: the
+    # thresholds fire in later blocks, some rows ahead of others.
+    monkeypatch.setattr(mc_harness, "_block_hint", lambda rule, spec: 8)
+    assert check() == first
 
 
 def test_sweep_pass_censors_each_threshold_at_its_own_guard():
     ks, guards = (1, 2, 3), (5, 200, 12)
-    diameter, stop_time = _gap_sweep_chunk(0, 400, UNIT, 41, ks, guards, 64)
+    rules = tuple(Gap(float(k)) for k in ks)
+    fired, diameter, stop_time = _run_chunk(
+        0, 400, rules, guards, UNIT, 41, ("diameter", "stop_time"), 64
+    )
     assert diameter.shape == stop_time.shape == (400, 3)
     for i, (k, guard) in enumerate(zip(ks, guards)):
         run = collect_rewards(
@@ -358,6 +370,7 @@ def test_sweep_pass_censors_each_threshold_at_its_own_guard():
         )
         assert np.array_equal(diameter[:, i], run.values["diameter"], equal_nan=True)
         assert np.array_equal(stop_time[:, i], run.values["stop_time"], equal_nan=True)
+        assert np.array_equal(fired[:, i], run.fired)
     # Gap(1) cannot fire within 5 steps on a few paths, Gap(3) mostly not
     # within 12, Gap(2) always within 200.
     censored = np.isnan(stop_time).sum(axis=0)
@@ -379,8 +392,9 @@ def test_worker_count_invariance_below_one_chunk():
 
 
 def test_philox_stream_block_splits_match_one_draw():
-    """The sweep pass and run_until_stop draw in different block sizes; both
-    rely on a stream giving the same signs however its draws are split."""
+    """run_until_stop draws from its caller's generator in blocks sized by
+    the rule; its results rely on a stream giving the same signs however
+    its draws are split."""
     split = _philox_stream(5, 3)
     parts = [split.integers(0, 2, size=m, dtype=np.int64) for m in (1, 7, 3, 2048)]
     whole = _philox_stream(5, 3).integers(0, 2, size=2059, dtype=np.int64)

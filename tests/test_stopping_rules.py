@@ -114,6 +114,11 @@ def test_rule_units_and_lattice_errors():
         rule_units(Gap(0.3), spec)
     with pytest.raises(LatticeError):
         rule_units(FirstExit(-0.3, 1.0), spec)
+    # an exit boundary within one step of the origin is not aliased to it
+    with pytest.raises(ValueError, match="lo -1e-12 is below one lattice step"):
+        rule_units(FirstExit(-1e-12, 3.0), UNIT)
+    with pytest.raises(ValueError, match="hi 1e-12 is below one lattice step"):
+        rule_units(FirstExit(-3.0, 1e-12), UNIT)
 
 
 def test_default_max_steps_formula():
