@@ -406,11 +406,7 @@ def _cmd_dp(args):
     cap = args.cap if args.cap is not None else int(math.ceil(5.0 / (c * h)))
     spec = WalkDP(c=c, h=h, cap=cap, tol=args.tol)
     sol = dp_solve(spec)
-    boundary = []
-    for a in range(cap + 1):
-        row = sol.stop_region[a]
-        b_min = int(np.argmax(row))
-        boundary.append([a, b_min])
+    boundary = [[a, int(b_min)] for a, b_min in enumerate(sol.stop_boundary)]
     target_value = 3.0 / (4.0 * c)
     target_units = round((1.0 / (2.0 * c)) / h)
     results = {

@@ -5,10 +5,17 @@ at a target diameter (with an independent absorbing-chain oracle), exact
 expected step counts for the lattice stopping rules, the table of continuum
 closed forms the simulations must reproduce, and a value-iteration dynamic
 program that recovers the optimal gap threshold and payoff from scratch.
+
+The dynamic program's `tol` only stops its iteration; the state cap, not
+`tol`, sets the accuracy of its value.  Each sweep computes only the band
+of states that can still change, mirrored across the exactly symmetric
+diagonal, so the results equal full-grid sweeps bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +176,12 @@ class WalkDP:
     State (a, b) = (lattice distance below the running max, lattice
     distance above the running min); stopping pays (a+b)*h, each step
     costs c*h^2.  States with a = cap or b = cap are forced stops.
+
+    `tol` is the stopping rule of value iteration: it stops once the
+    sup-norm change between two sweeps is below `tol`.  It is not a bound
+    on the error of the value.  The cap sets the accuracy: at c = 1,
+    h = 1/40 and cap = 200 the origin value is 0.7249502, against the
+    0.725 that the uncapped lattice gap rule reaches.
     """
 
     c: float
@@ -177,19 +190,19 @@ class WalkDP:
     tol: float
 
     def __post_init__(self) -> None:
-        if not (self.c > 0.0):
-            raise ValueError(f"c must be positive, got {self.c}")
-        if not (self.h > 0.0):
-            raise ValueError(f"h must be positive, got {self.h}")
-        if int(self.cap) != self.cap or self.cap < 2:
-            raise ValueError(f"cap must be an integer >= 2, got {self.cap}")
+        if not (0.0 < self.c < math.inf):
+            raise ValueError(f"c must be positive and finite, got {self.c}")
+        if not (0.0 < self.h < math.inf):
+            raise ValueError(f"h must be positive and finite, got {self.h}")
+        if not isinstance(self.cap, numbers.Integral) or self.cap < 2:
+            raise ValueError(f"cap must be an integer >= 2, got {self.cap!r}")
         if self.cap * self.h < 3.0 / self.c - 1e-9:
             raise ValueError(
                 f"cap*h = {self.cap * self.h} must reach 3/c = {3.0 / self.c} "
                 "so the forced boundary sits beyond the stopping region"
             )
-        if not (self.tol > 0.0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -200,54 +213,86 @@ class DPSolution:
     stop_region: np.ndarray
     iterations: int
 
+    @property
+    def stop_boundary(self) -> np.ndarray:
+        """First stopping column b of each row a of the stop region."""
+        return np.argmax(self.stop_region, axis=1)
 
-def _continuation(values: np.ndarray, cap: int, step_cost: float) -> np.ndarray:
-    """One-step lookahead over interior states (a, b) in [0, cap-1]^2.
+
+def _continuation(
+    values: np.ndarray, rows: int, step_cost: float, up: np.ndarray, down: np.ndarray
+) -> np.ndarray:
+    """One-step lookahead over interior states (a, b), a < rows, b in [0, cap-1].
 
     An up step goes to (max(a-1, 0), b+1); a down step to (a+1, max(b-1, 0)).
+    `up` and `down` are (cap, cap) work buffers; the result is a view of
+    `up`'s first `rows` rows.
     """
-    up = np.empty((cap, cap))
+    cap = up.shape[1]
+    up, down = up[:rows], down[:rows]
     up[0, :] = values[0, 1 : cap + 1]
-    up[1:, :] = values[0 : cap - 1, 1 : cap + 1]
-    down = np.empty((cap, cap))
-    down[:, 0] = values[1 : cap + 1, 0]
-    down[:, 1:] = values[1 : cap + 1, 0 : cap - 1]
-    return 0.5 * (up + down) - step_cost
+    up[1:, :] = values[0 : rows - 1, 1 : cap + 1]
+    down[:, 0] = values[1 : rows + 1, 0]
+    down[:, 1:] = values[1 : rows + 1, 0 : cap - 1]
+    np.add(up, down, out=up)
+    up *= 0.5
+    up -= step_cost
+    return up
 
 
 def dp_solve(spec: WalkDP, max_iterations: int = 200_000) -> DPSolution:
     """Synchronous value iteration from the stop-value initial guess.
 
     Iterates V <- max(stop, expected next V - c*h^2) until the sup-norm
-    change drops below spec.tol; raises ConvergenceError if the budget is
-    exhausted.  The stop region marks states where stopping is within tol
-    of optimal (stop preferred at ties), with the forced cap boundary
-    always a stop.
+    change between sweeps drops below spec.tol (a stopping rule, not an
+    error bound; see WalkDP); raises ConvergenceError if the budget is
+    exhausted.  The stop region marks the states of the final iterate where
+    stop >= continuation - tol (stop preferred at ties), with the forced
+    cap boundary always a stop.
+
+    Each sweep recomputes only the states that can still change.  The grid
+    stays exactly symmetric in (a, b), so rows a < w are computed and
+    mirrored into columns b < w.  A state reads only its two neighbours,
+    so if the states changed by a sweep all have min(a, b) <= M, the next
+    sweep can change only states with min(a, b) <= M + 1, and w = M + 2.
+    Values, sweep count and residual equal those of full-grid sweeps bit
+    for bit.
     """
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     cap = spec.cap
     step_cost = spec.c * spec.h * spec.h
     levels = np.arange(cap + 1, dtype=float)
     stop_values = (levels[:, None] + levels[None, :]) * spec.h
+    up = np.empty((cap, cap))
+    down = np.empty((cap, cap))
 
     values = stop_values.copy()
+    rows = cap
     iterations = 0
     residual = np.inf
     while iterations < max_iterations:
-        cont = _continuation(values, cap, step_cost)
-        new_values = stop_values.copy()
-        np.maximum(stop_values[:cap, :cap], cont, out=new_values[:cap, :cap])
-        residual = float(np.max(np.abs(new_values - values)))
-        values = new_values
+        band = _continuation(values, rows, step_cost, up, down)
+        np.maximum(stop_values[:rows, :cap], band, out=band)
+        change = np.subtract(band, values[:rows, :cap], out=down[:rows])
+        np.abs(change, out=change)
+        residual = float(np.max(change))
+        values[:rows, :cap] = band
+        values[rows:cap, :rows] = band[:, rows:cap].T
         iterations += 1
         if residual < spec.tol:
             break
+        # Each changed state or its mirror lies on or above the diagonal,
+        # where min(a, b) = a.
+        top = next(a for a in range(rows - 1, -1, -1) if change[a, a:].any())
+        rows = min(top + 2, cap)
     else:
         raise ConvergenceError(
             f"no convergence after {max_iterations} sweeps "
             f"(last sup-norm change {residual:.3e}, tol {spec.tol:.3e})"
         )
 
-    cont = _continuation(values, cap, step_cost)
+    cont = _continuation(values, cap, step_cost, up, down)
     stop_region = np.ones((cap + 1, cap + 1), dtype=bool)
     stop_region[:cap, :cap] = stop_values[:cap, :cap] >= cont - spec.tol
     return DPSolution(

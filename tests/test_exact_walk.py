@@ -239,6 +239,18 @@ def test_walkdp_validation():
         WalkDP(c=1.0, h=0.1, cap=10, tol=1e-8)  # cap*h = 1 < 3/c
     with pytest.raises(ValueError):
         WalkDP(c=1.0, h=0.1, cap=100, tol=0.0)
+    # non-finite inputs used to run: c=inf and tol=inf stopped after one
+    # sweep with a meaningless value, h=inf produced NaN
+    with pytest.raises(ValueError):
+        WalkDP(c=math.inf, h=0.1, cap=100, tol=1e-8)
+    with pytest.raises(ValueError):
+        WalkDP(c=1.0, h=math.inf, cap=100, tol=1e-8)
+    with pytest.raises(ValueError):
+        WalkDP(c=1.0, h=0.1, cap=100, tol=math.inf)
+    # an integral float cap used to pass here and fail inside dp_solve
+    with pytest.raises(ValueError):
+        WalkDP(c=1.0, h=0.05, cap=60.0, tol=1e-8)
+    assert WalkDP(c=1.0, h=0.05, cap=np.int64(60), tol=1e-8).cap == 60
 
 
 def test_dp_small_config_recovers_value_and_boundary():
@@ -277,6 +289,65 @@ def test_dp_value_monotone_in_cost():
         assert v == pytest.approx(3.0 / (4.0 * c), rel=0.15)
 
 
+def _full_grid_dp(spec, max_iterations=200_000):
+    """Reference value iteration: every sweep recomputes the whole grid."""
+    cap, step_cost = spec.cap, spec.c * spec.h * spec.h
+    levels = np.arange(cap + 1, dtype=float)
+    stop = (levels[:, None] + levels[None, :]) * spec.h
+
+    def continuation(v):
+        up = np.vstack([v[:1, 1:], v[: cap - 1, 1:]])
+        down = np.hstack([v[1:, :1], v[1:, : cap - 1]])
+        return 0.5 * (up + down) - step_cost
+
+    values, residual = stop.copy(), np.inf
+    for iterations in range(1, max_iterations + 1):
+        new = stop.copy()
+        np.maximum(stop[:cap, :cap], continuation(values), out=new[:cap, :cap])
+        residual = float(np.max(np.abs(new - values)))
+        values = new
+        if residual < spec.tol:
+            break
+    else:
+        raise ConvergenceError(
+            f"no convergence after {max_iterations} sweeps "
+            f"(last sup-norm change {residual:.3e}, tol {spec.tol:.3e})"
+        )
+    region = np.ones((cap + 1, cap + 1), dtype=bool)
+    region[:cap, :cap] = stop[:cap, :cap] >= continuation(values) - spec.tol
+    return float(values[0, 0]), iterations, region
+
+
+@pytest.mark.parametrize(
+    "c, h, cap, tol",
+    [
+        (1.0, 1 / 40, 200, 1e-10),
+        (2.0, 0.05, 40, 1e-8),
+        (0.7, 0.1, 60, 1e-12),
+        (1.0, 0.25, 12, 1e-6),
+        (3.0, 1 / 30, 40, 1e-10),
+        (1.0, 1.0, 3, 1e-10),
+    ],
+)
+def test_dp_banded_sweep_matches_full_grid(c, h, cap, tol):
+    spec = WalkDP(c=c, h=h, cap=cap, tol=tol)
+    value, iterations, region = _full_grid_dp(spec)
+    sol = dp_solve(spec)
+    assert sol.value_origin == value
+    assert sol.iterations == iterations
+    assert np.array_equal(sol.stop_region, region)
+    assert np.array_equal(sol.stop_boundary, [int(np.argmax(row)) for row in region])
+
+
 def test_dp_nonconvergence_raises():
-    with pytest.raises(ConvergenceError):
-        dp_solve(WalkDP(c=1.0, h=0.05, cap=120, tol=1e-12), max_iterations=10)
+    spec = WalkDP(c=1.0, h=0.05, cap=120, tol=1e-12)
+    with pytest.raises(ConvergenceError) as got:
+        dp_solve(spec, max_iterations=10)
+    # the banded sweep reports the full-grid loop's message word for word
+    with pytest.raises(ConvergenceError) as want:
+        _full_grid_dp(spec, max_iterations=10)
+    assert str(got.value) == str(want.value) == (
+        "no convergence after 10 sweeps (last sup-norm change 1.006e-02, tol 1.000e-12)"
+    )
+    with pytest.raises(ValueError):
+        dp_solve(spec, max_iterations=0)
