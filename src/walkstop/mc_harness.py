@@ -9,7 +9,11 @@ moments but always counted and reported.
 Two scans walk the paths: the batched first-passage engine `_run_chunk`,
 which serves `collect_rewards` and, with nested thresholds, `sweep_payoff`,
 and the checkpoint kernel `_fixed_time_chunk`, which serves `levy_samples`
-and `drift_check`.
+and `drift_check`.  Both read the steps as packed 16-step chunks: tables
+indexed by a chunk's code give its displacement, extremes, fall and rise,
+chunk-level sums and running extremes give the exact state at each chunk's
+start, and only the chunks where a rule may fire, or that a checkpoint
+splits, are expanded to single steps.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
 from math import ceil, sqrt
 
 import numpy as np
@@ -79,9 +84,9 @@ REWARD_NAMES = (
 # each trial's stream is keyed by (seed, trial) alone.
 _CHUNK = 4096
 
-# Most steps scanned at once by the batched engine: trials x block length.
-# Its int64 arrays then stay at 256 KB each, as large as one 32768-step block.
-_BATCH_STEPS = 2**15
+# Most steps scanned at once by either scan: trials x steps per trial.  The
+# raw words then take 512 KB, and each int64 chunk-level array 64 KB.
+_BATCH_STEPS = 2**17
 
 
 @dataclass(frozen=True)
@@ -150,15 +155,99 @@ class _Steps:
 
     def signs(self, trial: int, start: int, length: int) -> np.ndarray:
         """Steps start .. start + length - 1 of the trial as int64 +-1."""
-        return _signs(self.words(trial, start, (length + 1) // 2), length)
+        words = self.words(trial, start, (length + 1) // 2)
+        steps = (words.view(np.uint32) >> 31)[:length].astype(np.int64)
+        return 2 * steps - 1
 
 
-def _signs(words: np.ndarray, length: int) -> np.ndarray:
-    """The first `length` steps held along the last axis of `words`."""
-    steps = (words.view(np.uint32) >> 31)[..., :length].astype(np.int64)
-    steps *= 2
-    steps -= 1
-    return steps
+# --- the packed scan ----------------------------------------------------------
+#
+# Both scans read the steps sixteen at a time.  A chunk's code holds its
+# step j in bit j, 1 for +1; per-chunk facts come from tables indexed by the
+# code, and only a chunk that needs its single steps is expanded.
+
+_BITS = np.arange(16, dtype=np.uint16)
+
+
+def _codes(words: np.ndarray) -> np.ndarray:
+    """uint16 codes of the 16-step chunks held along the last axis of `words`.
+
+    The last axis must hold a multiple of 8 words.  A step is read as
+    `_Steps.signs` reads it, and byte pairs are joined with a shift rather
+    than a uint16 view, which would swap them on a big-endian host.
+    """
+    plus = words.view(np.uint32) >= 1 << 31
+    packed = np.packbits(plus, axis=-1, bitorder="little")
+    return packed[..., 0::2] | packed[..., 1::2].astype(np.uint16) << 8
+
+
+@cache
+def _chunk_tables() -> np.ndarray:
+    """Five int8 facts of every 16-step chunk, in rows indexed by its code.
+
+    The rows are: the displacement; the highest and the lowest position
+    after the chunk's start, relative to it (`up`, `down`); the largest fall
+    below an earlier position of the chunk (`dd`) and the largest rise
+    above one (`ri`).  Each row is composed from the same facts of the two
+    8-step halves.  Built on first use (320 KB, well under a millisecond)
+    and read-only.
+    """
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    pos = np.cumsum(2 * bits - 1, axis=1)
+    eight = np.stack([
+        pos[:, -1],
+        pos.max(axis=1),
+        pos.min(axis=1),
+        (np.maximum.accumulate(pos, axis=1) - pos).max(axis=1),
+        (pos - np.minimum.accumulate(pos, axis=1)).max(axis=1),
+    ]).astype(np.int8)
+    # Code a | b << 8 walks the half a (columns here), then b (rows) from
+    # where a ends.
+    d, up, down, dd, ri = eight[:, None, :]
+    bd, bup, bdown, bdd, bri = eight[:, :, None]
+    tables = np.empty((5, 256, 256), dtype=np.int8)
+    np.add(d, bd, out=tables[0])
+    np.maximum(up, d + bup, out=tables[1])
+    np.minimum(down, d + bdown, out=tables[2])
+    np.maximum(np.maximum(dd, bdd), up - d - bdown, out=tables[3])
+    np.maximum(np.maximum(ri, bri), d + bup - down, out=tables[4])
+    tables.flags.writeable = False
+    return tables.reshape(5, -1)
+
+
+def _scan(start: np.ndarray, values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """`ufunc` accumulated along each row of `values`, from `start`.
+
+    Column c of the result holds the value before values[:, c], column
+    c + 1 the value after it.
+    """
+    out = np.empty((values.shape[0], values.shape[1] + 1), dtype=np.int64)
+    out[:, 0] = start
+    out[:, 1:] = values
+    return ufunc.accumulate(out, axis=1, out=out)
+
+
+def _expand(codes, x, mx, mn, dr):
+    """Position, running extremes and drop supremum at each step of chunks.
+
+    Row r walks the 16 steps of codes[r] from the state x[r], mx[r], mn[r]
+    and dr[r] at its start; `dr` may be None, and then so is the drop
+    supremum.  Results have shape (len(codes), 16).
+    """
+    pos = ((codes[:, None] >> _BITS) & 1).astype(np.int64)
+    pos *= 2
+    pos -= 1
+    pos[:, 0] += x
+    np.cumsum(pos, axis=1, out=pos)
+    rmax = np.maximum.accumulate(pos, axis=1)
+    np.maximum(rmax, mx[:, None], out=rmax)
+    rmin = np.minimum.accumulate(pos, axis=1)
+    np.minimum(rmin, mn[:, None], out=rmin)
+    drop_run = None
+    if dr is not None:
+        drop_run = np.maximum.accumulate(rmax - pos, axis=1)
+        np.maximum(drop_run, dr[:, None], out=drop_run)
+    return pos, rmax, rmin, drop_run
 
 
 def _check_trials(n: int, seed: int) -> None:
@@ -192,7 +281,9 @@ def _map_trials(fn, n: int, workers: int, *args) -> tuple[np.ndarray, ...]:
     Workers beyond the CPUs this process may use would only queue, so
     `workers` is capped at that count.
     """
-    workers = max(1, min(workers, _usable_cpus()))
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, _usable_cpus())
     parts = workers * ceil(n / (workers * _CHUNK))
     cuts = [i * n // parts for i in range(parts + 1)]
     tasks = [(fn, lo, hi, args) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
@@ -220,18 +311,21 @@ def _run_chunk(
     each fires no earlier than the one before; a single rule is the common
     case.  Every trial still walking takes the same block of steps, in
     sub-batches of at most _BATCH_STEPS steps, as rows of one array.  The
-    first block is `hint` rounded up to a multiple of 8; blocks then double
-    up to _MAX_BLOCK.  Each row is scanned in step order from the state
-    carried from its last block, so results never depend on the block
-    split.  A trial records its state at each rule's first firing step and
-    leaves when the last rule fires; rule i is censored when that step
-    exceeds guards[i].  Results have shape (hi - lo, len(rules)).
+    first block is `hint` rounded up to a multiple of 16; blocks then
+    double up to _MAX_BLOCK.  A block is read as 16-step chunks: the state
+    at each chunk's start is exact, continued from the state carried from
+    the row's last block, so results never depend on the block split.  The
+    rule's chunk test picks the chunks where it may fire, and only those
+    are walked step by step, in order, until its firing predicate holds.
+    A trial records its state at each rule's first firing step and leaves
+    when the last rule fires; rule i is censored when that step exceeds
+    guards[i].  Results have shape (hi - lo, len(rules)).
     """
     units = [rule_units(rule, spec) for rule in rules]
     kind, _, klo, khi = units[0]
     ks = [k for _, k, _, _ in units]
-    fires = _RULES[kind].fires
-    need_drop = _RULES[kind].reads_drop or "drop_sup" in rewards
+    row = _RULES[kind]
+    need_drop = row.reads_drop or "drop_sup" in rewards
     stream = _Steps(seed)
     m, u = hi - lo, len(rules)
     # Each trial's state at each rule's first firing step, 0 until then.
@@ -241,60 +335,71 @@ def _run_chunk(
     pending = np.zeros(m, dtype=np.int64)  # each trial's first rule yet to fire
     live = np.arange(m)
     walked = 0
-    block = -(-hint // 8) * 8
+    block = -(-hint // 16) * 16
     while live.size and walked < max(guards):
         batch = max(1, _BATCH_STEPS // block)
         walking = []
         for a in range(0, live.size, batch):
             idx = live[a : a + batch]
             words = np.empty((idx.size, block // 2), dtype=np.uint64)
-            for row, trial in enumerate(idx.tolist()):
-                words[row] = stream.words(lo + trial, walked, block // 2)
-            # The carried state enters through each row's first column, so
-            # one scan per quantity continues it.
-            pos = _signs(words, block)
-            pos[:, 0] += cx[idx]
-            np.cumsum(pos, axis=1, out=pos)
-            x0 = pos[:, 0].copy()
-            pos[:, 0] = np.maximum(x0, cmax[idx])
-            rmax = np.maximum.accumulate(pos, axis=1)
-            pos[:, 0] = np.minimum(x0, cmin[idx])
-            rmin = np.minimum.accumulate(pos, axis=1)
-            pos[:, 0] = x0
-            drop_run = None
+            for r, trial in enumerate(idx.tolist()):
+                words[r] = stream.words(lo + trial, walked, block // 2)
+            codes = _codes(words)
+            disp, up, down, dd, ri = np.take(_chunk_tables(), codes, axis=1)
+            # Column c of x, mx, mn and dr is the state at the start of
+            # chunk c; the last column is the state at the block's end.
+            x = _scan(cx[idx], disp, np.add)
+            mx = _scan(cmax[idx], x[:, :-1] + up, np.maximum)
+            mn = _scan(cmin[idx], x[:, :-1] + down, np.minimum)
+            dr = None
             if need_drop:
-                drop_run = rmax - pos
-                np.maximum(drop_run[:, 0], cdrop[idx], out=drop_run[:, 0])
-                np.maximum.accumulate(drop_run, axis=1, out=drop_run)
-            rows = np.arange(idx.size)
+                fall = np.maximum(mx[:, :-1] - x[:, :-1] - down, dd)
+                dr = _scan(cdrop[idx], fall, np.maximum)
             todo = pending[idx]
-            col = np.full((idx.size, u), -1)  # where each rule fired in this block
-            # Rule i fires no earlier than rule i - 1, so it is looked for from
-            # the first column where a row's rule i - 1 fired in this block.
+            # The chunk where each row's rule i - 1 fired in this block: rule
+            # i fires no earlier, so it is looked for from there.
             first = np.zeros(idx.size, dtype=np.int64)
             for i in range(int(todo.min()), u):
-                can = todo == i
-                s = first.min(where=can, initial=block - 1)
-                mask = fires(
-                    ks[i], klo, khi, pos[:, s:], rmax[:, s:], rmin[:, s:],
-                    drop_run[:, s:] if need_drop else None,
+                rows = np.flatnonzero(todo == i)
+                if not rows.size:
+                    continue
+                s = int(first[rows].min())
+                sel = rows if rows.size < idx.size else slice(None)
+                cand = row.may_fire(
+                    ks[i], klo, khi,
+                    *(v[sel, s:-1] if v is not None else None for v in (x, mx, mn, dr)),
+                    up[sel, s:], down[sel, s:], dd[sel, s:], ri[sel, s:],
                 )
-                at = mask.argmax(axis=1)
-                hit = mask[rows, at] & can
-                at += s
-                todo += hit
-                np.copyto(first, at, where=hit)
-                np.copyto(col[:, i], at, where=hit)
-            r, i = np.nonzero(col >= 0)
-            at, trials = col[r, i], idx[r]
-            steps[trials, i] = walked + at + 1
-            ix[trials, i] = pos[r, at]
-            imax[trials, i] = rmax[r, at]
-            imin[trials, i] = rmin[r, at]
-            cx[idx], cmax[idx], cmin[idx] = pos[:, -1], rmax[:, -1], rmin[:, -1]
+                cand &= np.arange(s, codes.shape[1]) >= first[rows, None]
+                # Walk each row's candidate chunks in order until one fires.
+                at = cand.argmax(axis=1)
+                look = np.flatnonzero(cand[np.arange(rows.size), at])
+                while look.size:
+                    r, c = rows[look], s + at[look]
+                    pos, rmax, rmin, drop_run = _expand(
+                        codes[r, c], x[r, c], mx[r, c], mn[r, c],
+                        dr[r, c] if need_drop else None,
+                    )
+                    mask = row.fires(ks[i], klo, khi, pos, rmax, rmin, drop_run)
+                    j = mask.argmax(axis=1)
+                    hit = np.flatnonzero(mask[np.arange(r.size), j])
+                    if hit.size:
+                        t, jh = idx[r[hit]], j[hit]
+                        steps[t, i] = walked + 16 * c[hit] + jh + 1
+                        ix[t, i] = pos[hit, jh]
+                        imax[t, i] = rmax[hit, jh]
+                        imin[t, i] = rmin[hit, jh]
+                        if need_drop:
+                            idrop[t, i] = drop_run[hit, jh]
+                        todo[r[hit]] += 1
+                        first[r[hit]] = c[hit]
+                    miss = np.delete(look, hit)
+                    cand[miss, at[miss]] = False
+                    at[miss] = cand[miss].argmax(axis=1)
+                    look = miss[cand[miss, at[miss]]]
+            cx[idx], cmax[idx], cmin[idx] = x[:, -1], mx[:, -1], mn[:, -1]
             if need_drop:
-                idrop[trials, i] = drop_run[r, at]
-                cdrop[idx] = drop_run[:, -1]
+                cdrop[idx] = dr[:, -1]
             pending[idx] = todo
             walking.append(idx[todo < u])
         live = np.concatenate(walking)
@@ -625,24 +730,36 @@ def _fixed_time_chunk(
     in the extremes, and each has shape (hi - lo, len(cp_units)).
     """
     cp = np.array(cp_units, dtype=np.int64)
-    n_steps = cp_units[-1]
-    # pos[u] is the position after u steps.  Segment j of pos runs from the
-    # step after checkpoint j - 1 through checkpoint j; the extremes at a
-    # checkpoint accumulate those of the segments up to it.
-    starts = np.concatenate(([0], cp[:-1] + 1))
-    pos = np.zeros(n_steps + 1, dtype=np.int64)
+    n_chunks = -(-cp_units[-1] // 16)
+    # Checkpoint j lies rem[j] steps into chunk q[j]; the state at each
+    # chunk's start comes from chunk-level sums and running extremes, and
+    # only a chunk that a checkpoint splits is expanded.
+    q, rem = np.divmod(cp, 16)
+    split = np.flatnonzero(rem)
     m = hi - lo
-    x = np.empty((m, cp.size), dtype=np.int64)
-    top = np.empty_like(x)
-    bot = np.empty_like(x)
+    x, top, bot = np.empty((3, m, cp.size), dtype=np.int64)
     stream = _Steps(seed)
-    for j in range(m):
-        np.cumsum(stream.signs(lo + j, 0, n_steps), out=pos[1:])
-        x[j] = pos[cp]
-        top[j] = np.maximum.reduceat(pos, starts)
-        bot[j] = np.minimum.reduceat(pos, starts)
-    np.maximum.accumulate(top, axis=1, out=top)
-    np.minimum.accumulate(bot, axis=1, out=bot)
+    batch = max(1, _BATCH_STEPS // (16 * n_chunks))
+    for a in range(0, m, batch):
+        b = min(a + batch, m)
+        words = np.empty((b - a, 8 * n_chunks), dtype=np.uint64)
+        for r in range(b - a):
+            words[r] = stream.words(lo + a + r, 0, 8 * n_chunks)
+        codes = _codes(words)
+        disp, up, down = np.take(_chunk_tables()[:3], codes, axis=1)
+        xs = _scan(0, disp, np.add)
+        xa = xs[:, q]
+        ta = _scan(0, xs[:, :-1] + up, np.maximum)[:, q]
+        ba = _scan(0, xs[:, :-1] + down, np.minimum)[:, q]
+        if split.size:
+            pos, rmax, rmin, _ = _expand(
+                codes[:, q[split]].ravel(), xa[:, split].ravel(),
+                ta[:, split].ravel(), ba[:, split].ravel(), None,
+            )
+            k = np.arange(pos.shape[0]), np.tile(rem[split] - 1, b - a)
+            for out, run in ((xa, pos), (ta, rmax), (ba, rmin)):
+                out[:, split] = run[k].reshape(b - a, split.size)
+        x[a:b], top[a:b], bot[a:b] = xa, ta, ba
     return x, top, bot
 
 

@@ -7,8 +7,9 @@ integer lattice units internally, so threshold comparisons are exact.
 
 Each rule's facts live in one row of the table `_RULES`: its kind name (the
 CLI's --rule value), the fields that carry its thresholds, its exact
-expected step count and its vectorised firing predicate.  The batched
-engine, the exact layer and the CLI read that row; `should_stop` stays the
+expected step count, its vectorised firing predicate and its chunk test,
+which lets the packed scans skip 16-step chunks where the rule cannot fire.
+The batched engine, the exact layer and the CLI read that row; `should_stop` stays the
 scalar reference they are tested against.
 """
 
@@ -159,44 +160,79 @@ class _Rule:
     alike: `pos` holds positions, `rmax`/`rmin` the running extremes (the
     origin included) and `drop_run` the running drop supremum, which is
     read only when `reads_drop` is set.
+
+    `may_fire(k, klo, khi, x, mx, mn, dr, up, down, dd, ri)` is the chunk
+    test of the packed scan: False only where the rule cannot fire at any
+    step of a chunk of steps.  `x`, `mx`, `mn` and `dr` are the position,
+    running extremes and drop supremum at the chunk's start; `up`/`down`
+    are the highest and lowest positions the chunk reaches after its
+    start, relative to it, and `dd`/`ri` its largest fall below and rise
+    above an earlier position of the chunk.  The test is exact (True only
+    where the rule fires) for drawdown, rise, diameter and exit, and a
+    bound for gap, dropdd and absgap.
     """
 
     cls: type
     fields: tuple[str, ...]
     mean: Callable[[int, int, int], float] | None
     fires: Callable[..., np.ndarray]
+    may_fire: Callable[..., np.ndarray]
     reads_drop: bool = False
 
 
-# Keyed by kind name, in the CLI's --rule order.
+# Keyed by kind name, in the CLI's --rule order.  The chunk tests' largest
+# fall below the running max in a chunk is max(mx - x - down, dd), and their
+# largest rise above the running min is max(x + up - mn, ri).
 _RULES = {
     "drawdown": _Rule(
         Drawdown, ("d",), lambda k, lo, hi: k * (k + 1),
         lambda k, lo, hi, x, mx, mn, dr: mx - x >= k,
+        lambda k, lo, hi, x, mx, mn, dr, up, down, dd, ri: (mx - x - down >= k) | (dd >= k),
     ),
     "rise": _Rule(
         Rise, ("d",), lambda k, lo, hi: k * (k + 1),
         lambda k, lo, hi, x, mx, mn, dr: x - mn >= k,
+        lambda k, lo, hi, x, mx, mn, dr, up, down, dd, ri: (x + up - mn >= k) | (ri >= k),
     ),
     "absgap": _Rule(
         AbsGap, ("d",), None,
         lambda k, lo, hi, x, mx, mn, dr: np.maximum(mx, -mn) - np.abs(x) >= k,
+        # The largest |extreme| by the chunk's end, less the least |x| in it.
+        lambda k, lo, hi, x, mx, mn, dr, up, down, dd, ri: (
+            np.maximum(np.maximum(mx, x + up), -np.minimum(mn, x + down))
+            - np.maximum(np.maximum(x + down, -x - up), 0) >= k
+        ),
     ),
     "gap": _Rule(
         Gap, ("d",), lambda k, lo, hi: 3 * k * k + 2 * k,
         lambda k, lo, hi, x, mx, mn, dr: (mx - x >= k) & (x - mn >= k),
+        # Both extremes are d away somewhere in the chunk, if not at one
+        # step, and the diameter reaches 2d by its end.
+        lambda k, lo, hi, x, mx, mn, dr, up, down, dd, ri: (
+            ((mx - x - down >= k) | (dd >= k)) & ((x + up - mn >= k) | (ri >= k))
+            & (np.maximum(mx, x + up) - np.minimum(mn, x + down) >= 2 * k)
+        ),
     ),
     "dropdd": _Rule(
         DropDrawdown, ("d",), lambda k, lo, hi: 2 * k * k + 2 * k,
-        lambda k, lo, hi, x, mx, mn, dr: dr - (mx - x) >= k, reads_drop=True,
+        lambda k, lo, hi, x, mx, mn, dr: dr - (mx - x) >= k,
+        # The drop supremum at the chunk's end, less the least drop in it.
+        lambda k, lo, hi, x, mx, mn, dr, up, down, dd, ri: (
+            np.maximum(np.maximum(dr, mx - x - down), dd) - np.maximum(mx - x - up, 0) >= k
+        ),
+        reads_drop=True,
     ),
     "diameter": _Rule(
         DiameterReach, ("hdiam",), lambda k, lo, hi: k * (k + 1) / 2.0,
         lambda k, lo, hi, x, mx, mn, dr: mx - mn >= k,
+        lambda k, lo, hi, x, mx, mn, dr, up, down, dd, ri: (
+            np.maximum(mx, x + up) - np.minimum(mn, x + down) >= k
+        ),
     ),
     "exit": _Rule(
         FirstExit, ("lo", "hi"), lambda k, lo, hi: -lo * hi,
         lambda k, lo, hi, x, mx, mn, dr: (x <= lo) | (x >= hi),
+        lambda k, lo, hi, x, mx, mn, dr, up, down, dd, ri: (x + down <= lo) | (x + up >= hi),
     ),
 }
 _KINDS = {row.cls: kind for kind, row in _RULES.items()}
@@ -265,6 +301,7 @@ def run_until_stop(
     # wastes the rest of a long block), doubling up to _MAX_BLOCK, each draw
     # clipped to the steps left: the steps drawn past the firing step are
     # used up from `stream`, so this schedule is part of the output.
+    row = _RULES[kind]
     steps = ix = imax = imin = idrop = irise = 0
     fired = False
     block = min(_block_hint(rule, spec), _FIRST_BLOCK, max_steps)
@@ -278,18 +315,25 @@ def run_until_stop(
         np.maximum(rmax, imax, out=rmax)
         rmin = np.minimum.accumulate(pos)
         np.minimum(rmin, imin, out=rmin)
-        drop_run = np.maximum.accumulate(rmax - pos)
-        if idrop:
-            np.maximum(drop_run, idrop, out=drop_run)
-        mask = _RULES[kind].fires(k, klo, khi, pos, rmax, rmin, drop_run)
+        # Only a rule that reads the running drop supremum accumulates it;
+        # for the others the supremum at the stop is one reduction.
+        drop_run = None
+        if row.reads_drop:
+            drop_run = np.maximum.accumulate(rmax - pos)
+            if idrop:
+                np.maximum(drop_run, idrop, out=drop_run)
+        mask = row.fires(k, klo, khi, pos, rmax, rmin, drop_run)
         fired = bool(mask.any())
         end = int(mask.argmax()) + 1 if fired else length
         irise = max(irise, int((pos[:end] - rmin[:end]).max()))
+        if drop_run is None:
+            idrop = max(idrop, int((rmax[:end] - pos[:end]).max()))
+        else:
+            idrop = int(drop_run[end - 1])
         steps += end
         ix = int(pos[end - 1])
         imax = int(rmax[end - 1])
         imin = int(rmin[end - 1])
-        idrop = int(drop_run[end - 1])
         block = min(2 * block, _MAX_BLOCK)
 
     h = spec.h

@@ -393,7 +393,7 @@ NO_META_DIGESTS = {
         "32dca947e9ce478bc65058ec77c1812d634ba079456a63918353f3f3444f69b6",
     "sweep --grid 0.5,0.25 --h 0.0625 --trials 1000":
         "b3a49baf208df5d61d59e8074ba828fd2aba37d024403dcf0fbc18d1e9db0071",
-    # one trial per sub-batch, as in the default sweep
+    # long blocks, a few trials per sub-batch, as in the default sweep
     "sweep --grid 0.5,0.25 --h 0.00625 --trials 40":
         "55bb3246554d65346f04ec190a435f85055b65c49c2ec28704d89c5436b35a28",
     "dist --h 0.05 --trials 1000 --t 0.25":

@@ -1,6 +1,7 @@
 """Monte Carlo harness: means against exact lattice values, determinism across
 workers, censoring accounting, the goodness-of-fit battery, and ratio CIs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -40,10 +41,12 @@ from walkstop.mc_harness import (
     REWARD_NAMES,
     _CHUNK,
     _Steps,
+    _chunk_tables,
+    _codes,
     _philox_stream,
     _run_chunk,
 )
-from walkstop.stopping_rules import run_until_stop
+from walkstop.stopping_rules import _RULES, run_until_stop
 
 UNIT = LatticeSpec(h=1.0)
 
@@ -351,8 +354,9 @@ def test_sweep_matches_separate_gap_runs_on_unsorted_duplicate_grid(monkeypatch)
         return result
 
     first = check()
-    # Blocks of 8, 16, 32, ... steps with every row in one sub-batch: the
-    # thresholds fire in later blocks, some rows ahead of others.
+    # Blocks of 16, 32, 64, ... steps (the hint rounds up to a multiple of
+    # 16) with every row in one sub-batch: the thresholds fire in later
+    # blocks, some rows ahead of others.
     monkeypatch.setattr(mc_harness, "_block_hint", lambda rule, spec: 8)
     assert check() == first
 
@@ -492,8 +496,8 @@ def test_batched_engine_matches_per_trial_reference(monkeypatch, rule, max_steps
 
     for workers in (1, 2):
         check(collect_rewards(rule, REWARD_NAMES, spec, n, seed, workers, max_steps))
-    # Blocks of 8, 16, 32, ... steps: trials stopping after step 56 fire in
-    # their fourth block or later.
+    # Blocks of 16, 32, 64, ... steps (the hint rounds up to a multiple of
+    # 16): trials stopping after step 56 fire in their third block or later.
     monkeypatch.setattr(mc_harness, "_block_hint", lambda rule, spec: 8)
     assert (values["stop_time"] > 56 * spec.time_per_step).sum() > 10
     for workers in (1, 2):
@@ -586,6 +590,154 @@ def test_levy_samples_match_per_path_reference(h, n_steps):
         got = levy_samples(n_steps * spec.time_per_step, spec, n, seed, workers)
         assert got[0].tobytes() == drop.tobytes()
         assert got[1].tobytes() == abs_x.tobytes()
+
+
+# --- packed 16-step scan ----------------------------------------------------------
+
+
+def test_chunk_tables_match_expanded_steps():
+    """Every entry of the five tables, for all 65536 chunk codes, equals the
+    quantity computed from the code's sixteen steps."""
+    steps = 2 * ((np.arange(2**16)[:, None] >> np.arange(16)) & 1) - 1
+    pos = np.cumsum(steps, axis=1)  # relative to the chunk's start
+    expected = (
+        pos[:, -1],
+        pos.max(axis=1),
+        pos.min(axis=1),
+        (np.maximum.accumulate(pos, axis=1) - pos).max(axis=1),
+        (pos - np.minimum.accumulate(pos, axis=1)).max(axis=1),
+    )
+    tables = _chunk_tables()
+    assert tables.dtype == np.int8 and tables.shape == (5, 2**16)
+    for table, want in zip(tables, expected):
+        assert np.array_equal(table, want)
+
+
+def test_chunk_codes_hold_the_stream_steps():
+    stream = _Steps(5)
+    for trial in (0, 3, 2**40):
+        codes = _codes(stream.words(trial, 16, 40))
+        assert codes.dtype == np.uint16 and codes.shape == (5,)
+        bits = ((codes[:, None] >> np.arange(16)) & 1).astype(np.int64)
+        assert np.array_equal(2 * bits.ravel() - 1, stream.signs(trial, 16, 80))
+    words = np.stack([stream.words(t, 0, 16) for t in range(3)])
+    assert np.array_equal(_codes(words), np.stack([_codes(w) for w in words]))
+
+
+def _chunk_truth(kind, k, klo, khi, codes, x, mx, mn, dr):
+    """Whether the rule fires at some step of each chunk, walked step by step."""
+    pos = x[:, None] + np.cumsum(2 * ((codes[:, None] >> np.arange(16)) & 1) - 1, axis=1)
+    rmax = np.maximum(np.maximum.accumulate(pos, axis=1), mx[:, None])
+    rmin = np.minimum(np.minimum.accumulate(pos, axis=1), mn[:, None])
+    drop_run = np.maximum(np.maximum.accumulate(rmax - pos, axis=1), dr[:, None])
+    return _RULES[kind].fires(k, klo, khi, pos, rmax, rmin, drop_run).any(axis=1)
+
+
+@pytest.mark.parametrize("kind", list(_RULES))
+def test_chunk_tests_bound_the_firing_predicate(kind):
+    """A chunk test is False only where the rule fires at no step of the
+    chunk, and exact where the scan relies on it being exact."""
+    rng = np.random.default_rng(97)
+    n = 40_000
+    codes = rng.integers(0, 2**16, n).astype(np.uint16)
+    x = rng.integers(-30, 31, n)
+    mx = np.maximum(x, 0) + rng.integers(0, 20, n)
+    mn = np.minimum(x, 0) - rng.integers(0, 20, n)
+    dr = mx - x + rng.integers(0, 12, n)
+    k, klo, khi = int(rng.integers(1, 25)), -12, 9
+    if kind == "exit":  # the walk so far is inside (klo, khi)
+        inside = (mn > klo) & (mx < khi)
+        codes, x, mx, mn, dr = (a[inside] for a in (codes, x, mx, mn, dr))
+    truth = _chunk_truth(kind, k, klo, khi, codes, x, mx, mn, dr)
+    up, down, dd, ri = np.take(_chunk_tables()[1:], codes, axis=1)
+    may = _RULES[kind].may_fire(k, klo, khi, x, mx, mn, dr, up, down, dd, ri)
+    assert truth.any() and not truth.all()
+    assert not (truth & ~may).any()
+    if kind in ("drawdown", "rise", "diameter", "exit"):
+        assert np.array_equal(may, truth)
+
+
+_H64 = 1.0 / 64
+
+
+@pytest.mark.parametrize(
+    "rule, max_steps",
+    [
+        (Gap(10 * _H64), 16 * 24 + 7),
+        (DropDrawdown(10 * _H64), 16 * 17 + 7),
+        (Drawdown(16 * _H64), 16 * 20 + 7),
+        (Rise(16 * _H64), 16 * 20 + 7),
+        (AbsGap(12 * _H64), 16 * 24 + 7),
+        (DiameterReach(24 * _H64), 16 * 23 + 7),
+        (FirstExit(-20 * _H64, 12 * _H64), 16 * 18 + 7),
+    ],
+)
+def test_packed_scan_matches_reference_across_chunks_and_blocks(monkeypatch, rule, max_steps):
+    """Trials span many 16-step chunks and several blocks and sub-batches,
+    and each guard lies 7 steps into a chunk, so the censoring edge falls
+    inside one."""
+    spec = LatticeSpec(h=_H64)
+    n, seed = 300, 83
+    fired, values = _reference_rewards(rule, spec, n, seed, max_steps)
+    assert 0 < (~fired).sum() < n
+
+    def check():
+        run = collect_rewards(rule, REWARD_NAMES, spec, n, seed, 1, max_steps)
+        assert run.fired.tobytes() == fired.tobytes()
+        for name in REWARD_NAMES:
+            assert run.values[name].tobytes() == values[name].tobytes(), name
+
+    check()
+    # Blocks of 16, 32, 64, 128, 256 steps, at most 512 steps per sub-batch:
+    # trials stopping after step 240 fire in their fifth block, in 2-row
+    # sub-batches.
+    monkeypatch.setattr(mc_harness, "_block_hint", lambda rule, spec: 8)
+    monkeypatch.setattr(mc_harness, "_BATCH_STEPS", 2**9)
+    assert (values["stop_time"] > 240 * spec.time_per_step).sum() > 10
+    check()
+
+
+def test_nested_gap_chain_passes_over_candidate_chunks_that_do_not_fire(monkeypatch):
+    """Gap's chunk test is only a bound: in some candidate chunks both
+    extremes are d away, but never at one step.  Those chunks are walked
+    and passed over, and every threshold of the chain still fires where a
+    step-by-step run of it does."""
+    spec = LatticeSpec(h=1.0 / 32)
+    ks, guards = (3, 5, 8), (16 * 5 + 7, 16 * 20 + 7, 16 * 40 + 7)
+    rules = tuple(Gap(k * spec.h) for k in ks)
+    n, seed = 300, 89
+    reference = [_reference_rewards(r, spec, n, seed, g) for r, g in zip(rules, guards)]
+    misses = []
+    gap = _RULES["gap"]
+
+    def fires(*args):
+        mask = gap.fires(*args)
+        misses.append(int((~mask.any(axis=1)).sum()))
+        return mask
+
+    monkeypatch.setitem(_RULES, "gap", dataclasses.replace(gap, fires=fires))
+    fired, diameter, stop_time = _run_chunk(
+        0, n, rules, guards, spec, seed, ("diameter", "stop_time"), 16
+    )
+    assert sum(misses) > 0
+    for i, (ok, values) in enumerate(reference):
+        assert ok.any()
+        assert fired[:, i].tobytes() == ok.tobytes()
+        assert diameter[:, i].tobytes() == values["diameter"].tobytes()
+        assert stop_time[:, i].tobytes() == values["stop_time"].tobytes()
+
+
+def test_library_fan_out_rejects_fewer_than_one_worker():
+    spec = LatticeSpec(h=0.25)
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            collect_rewards(Gap(1.0), ("max",), spec, 10, 1, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            levy_samples(1.0, spec, 10, 1, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            drift_check(1.0, 1.0, 10, 1, (0.0, 1.0), spec=spec, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            sweep_payoff(1.0, [0.5], spec, 10, 1, workers=workers)
 
 
 def test_collect_rewards_rejects_nonpositive_max_steps():
