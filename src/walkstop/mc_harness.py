@@ -489,7 +489,7 @@ def collect_rewards(
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     fired, *arrays = _map_trials(
         _run_chunk, n, workers, (rule,), (max_steps,), spec, seed, rewards,
-        _block_hint(rule, spec),
+        _block_hint(*rule_units(rule, spec)),
     )
     values = {name: a[:, 0] for name, a in zip(rewards, arrays)}
     return CollectResult(values=values, fired=fired[:, 0])
@@ -926,7 +926,7 @@ def sweep_payoff(
     # for that walk.
     _, diameter, stop_time = _map_trials(
         _run_chunk, n, workers, chain, guards, spec, seed,
-        ("diameter", "stop_time"), _block_hint(chain[-1], spec),
+        ("diameter", "stop_time"), _block_hint(*rule_units(chain[-1], spec)),
     )
     points = []
     for d, k in zip(grid, point_ks):

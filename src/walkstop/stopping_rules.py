@@ -1,9 +1,9 @@
 """Stopping rules over lattice walk paths and the driver that runs them.
 
-Each rule is a small frozen dataclass; `should_stop` evaluates the rule
-predicate on a PathState, and `run_until_stop` advances a fresh path until
-the predicate first holds (or a step guard runs out).  The driver works in
-integer lattice units internally, so threshold comparisons are exact.
+Each rule is a frozen dataclass; `should_stop` evaluates its predicate on a
+PathState.  `run_until_stop` drives a fresh path, in exact integer lattice
+units, until the predicate first holds or a step guard runs out; it scans
+each block it draws in 8192-step slices, which never change its output.
 
 Each rule's facts live in one row of the table `_RULES`: its kind name (the
 CLI's --rule value), the fields that carry its thresholds, its exact
@@ -259,21 +259,22 @@ def default_max_steps(rule: StopRule, spec: LatticeSpec) -> int:
 
     `scale` is the largest threshold in lattice units.
     """
-    _, k, klo, khi = rule_units(rule, spec)
-    scale = max(k, -klo, khi)
-    return 400 * scale * scale
+    return _guard(*rule_units(rule, spec))
+
+
+def _guard(kind: str, k: int, klo: int, khi: int) -> int:
+    return 400 * max(k, -klo, khi) ** 2
 
 
 _FIRST_BLOCK = 2048
 _MAX_BLOCK = 32768
+_SLICE = 8192
 
 
-def _block_hint(rule: StopRule, spec: LatticeSpec) -> int:
-    """First block size of a scan: a bit over the expected step count.
-
-    AbsGap has no exact mean; it is taken on the drop rule's scale.
+def _block_hint(kind: str, k: int, klo: int, khi: int) -> int:
+    """First block size of a scan from `rule_units`' result: a bit over the
+    expected step count.  AbsGap has no exact mean; it takes the drop rule's.
     """
-    kind, k, klo, khi = rule_units(rule, spec)
     mean = _RULES[kind].mean or _RULES["dropdd"].mean
     return int(min(_MAX_BLOCK, max(64, 1.25 * mean(k, klo, khi) + 8)))
 
@@ -290,10 +291,15 @@ def run_until_stop(
     the returned state is the first one satisfying the predicate.  When the
     step guard is exhausted instead, `fired` is False and the caller must
     treat the trial as censored rather than dropping it.
+
+    Each block of draws is scanned in place, in slices of at most `_SLICE`
+    steps that carry the path's state across: the scan's temporaries stay
+    in cache, and slices past the firing one are skipped.  Slices never
+    change the output; the draws alone fix it.
     """
-    kind, k, klo, khi = rule_units(rule, spec)
+    units = kind, k, klo, khi = rule_units(rule, spec)
     if max_steps is None:
-        max_steps = default_max_steps(rule, spec)
+        max_steps = _guard(*units)
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
 
@@ -304,37 +310,41 @@ def run_until_stop(
     row = _RULES[kind]
     steps = ix = imax = imin = idrop = irise = 0
     fired = False
-    block = min(_block_hint(rule, spec), _FIRST_BLOCK, max_steps)
+    block = min(_block_hint(*units), _FIRST_BLOCK, max_steps)
     while not fired and steps < max_steps:
-        length = min(block, max_steps - steps)
-        pos = np.cumsum(2 * stream.integers(0, 2, size=length, dtype=np.int64) - 1)
-        if ix:
-            pos += ix
-        # The carried extremes include the origin, visited before step 1.
-        rmax = np.maximum.accumulate(pos)
-        np.maximum(rmax, imax, out=rmax)
-        rmin = np.minimum.accumulate(pos)
-        np.minimum(rmin, imin, out=rmin)
-        # Only a rule that reads the running drop supremum accumulates it;
-        # for the others the supremum at the stop is one reduction.
-        drop_run = None
-        if row.reads_drop:
-            drop_run = np.maximum.accumulate(rmax - pos)
-            if idrop:
-                np.maximum(drop_run, idrop, out=drop_run)
-        mask = row.fires(k, klo, khi, pos, rmax, rmin, drop_run)
-        fired = bool(mask.any())
-        end = int(mask.argmax()) + 1 if fired else length
-        irise = max(irise, int((pos[:end] - rmin[:end]).max()))
-        if drop_run is None:
-            idrop = max(idrop, int((rmax[:end] - pos[:end]).max()))
-        else:
-            idrop = int(drop_run[end - 1])
-        steps += end
-        ix = int(pos[end - 1])
-        imax = int(rmax[end - 1])
-        imin = int(rmin[end - 1])
+        draws = stream.integers(0, 2, size=min(block, max_steps - steps), dtype=np.int64)
         block = min(2 * block, _MAX_BLOCK)
+        for start in range(0, draws.size, _SLICE):
+            pos = draws[start : start + _SLICE]
+            pos *= 2
+            pos -= 1
+            pos[0] += ix
+            np.add.accumulate(pos, out=pos)
+            # The carried extremes include the origin, visited before step 1.
+            rmax = np.maximum.accumulate(pos)
+            np.maximum(rmax, imax, out=rmax)
+            rmin = np.minimum.accumulate(pos)
+            np.minimum(rmin, imin, out=rmin)
+            # Only a rule that reads the running drop supremum accumulates it;
+            # for the others the supremum at the stop is one reduction.
+            drop_run = None
+            if row.reads_drop:
+                drop_run = np.maximum.accumulate(rmax - pos)
+                if idrop:
+                    np.maximum(drop_run, idrop, out=drop_run)
+            mask = row.fires(k, klo, khi, pos, rmax, rmin, drop_run)
+            first = int(mask.argmax())
+            fired = bool(mask[first])
+            end = first + 1 if fired else pos.size
+            irise = max(irise, int((pos[:end] - rmin[:end]).max()))
+            if drop_run is None:
+                idrop = max(idrop, int((rmax[:end] - pos[:end]).max()))
+            else:
+                idrop = int(drop_run[end - 1])
+            steps += end
+            ix, imax, imin = (int(a[end - 1]) for a in (pos, rmax, rmin))
+            if fired:
+                break
 
     h = spec.h
     state = PathState(

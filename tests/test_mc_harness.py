@@ -36,7 +36,7 @@ from walkstop import (
     stats_from_sample,
     sweep_payoff,
 )
-from walkstop import mc_harness
+from walkstop import mc_harness, stopping_rules
 from walkstop.mc_harness import (
     REWARD_NAMES,
     _CHUNK,
@@ -46,7 +46,7 @@ from walkstop.mc_harness import (
     _philox_stream,
     _run_chunk,
 )
-from walkstop.stopping_rules import _RULES, run_until_stop
+from walkstop.stopping_rules import _RULES, rule_units, run_until_stop
 
 UNIT = LatticeSpec(h=1.0)
 
@@ -357,7 +357,7 @@ def test_sweep_matches_separate_gap_runs_on_unsorted_duplicate_grid(monkeypatch)
     # Blocks of 16, 32, 64, ... steps (the hint rounds up to a multiple of
     # 16) with every row in one sub-batch: the thresholds fire in later
     # blocks, some rows ahead of others.
-    monkeypatch.setattr(mc_harness, "_block_hint", lambda rule, spec: 8)
+    monkeypatch.setattr(mc_harness, "_block_hint", lambda *units: 8)
     assert check() == first
 
 
@@ -463,6 +463,31 @@ def _reference_rewards(rule, spec, n, seed, max_steps):
     return fired, values
 
 
+def _check_small_slices(monkeypatch, rule, spec, seed, max_steps, fired, values):
+    """run_until_stop scanning in slices of 1, 5 and 16 steps gives the
+    per-trial reference `fired`, `values`, already matched to the engine.
+
+    Only the first tenth of the trials is rerun, since a one-step slice
+    costs one scan per step.  Some paths fire at a slice's first step and
+    some at its last; censored paths end in a slice the guard cuts short.
+    """
+    m = fired.size // 10
+    first_block = min(stopping_rules._block_hint(*rule_units(rule, spec)), max_steps)
+    at_first = at_last = False
+    for size in (1, 5, 16):
+        monkeypatch.setattr(stopping_rules, "_SLICE", size)
+        sub_fired, sub_values = _reference_rewards(rule, spec, m, seed, max_steps)
+        assert sub_fired.tobytes() == fired[:m].tobytes(), size
+        for name in REWARD_NAMES:
+            assert sub_values[name].tobytes() == values[name][:m].tobytes(), (size, name)
+        # In the first block, slices start at multiples of `size`.
+        steps = np.round(sub_values["stop_time"] / spec.time_per_step)
+        at = (steps[steps <= first_block] - 1) % size
+        at_first |= size > 1 and bool((at == 0).any())
+        at_last |= size > 1 and bool((at == size - 1).any())
+    assert at_first and at_last
+
+
 # A non-dyadic lattice on which Python's float (x * h) ** 2 (libm pow) and
 # numpy's x * x already disagree at small |x|/h (11 is the first); on
 # h = 1/60 the first is 161, beyond these short walks.
@@ -498,10 +523,11 @@ def test_batched_engine_matches_per_trial_reference(monkeypatch, rule, max_steps
         check(collect_rewards(rule, REWARD_NAMES, spec, n, seed, workers, max_steps))
     # Blocks of 16, 32, 64, ... steps (the hint rounds up to a multiple of
     # 16): trials stopping after step 56 fire in their third block or later.
-    monkeypatch.setattr(mc_harness, "_block_hint", lambda rule, spec: 8)
+    monkeypatch.setattr(mc_harness, "_block_hint", lambda *units: 8)
     assert (values["stop_time"] > 56 * spec.time_per_step).sum() > 10
     for workers in (1, 2):
         check(collect_rewards(rule, REWARD_NAMES, spec, n, seed, workers, max_steps))
+    _check_small_slices(monkeypatch, rule, spec, seed, max_steps, fired, values)
 
 
 def _reference_signs(seed, trial, n_steps):
@@ -691,10 +717,11 @@ def test_packed_scan_matches_reference_across_chunks_and_blocks(monkeypatch, rul
     # Blocks of 16, 32, 64, 128, 256 steps, at most 512 steps per sub-batch:
     # trials stopping after step 240 fire in their fifth block, in 2-row
     # sub-batches.
-    monkeypatch.setattr(mc_harness, "_block_hint", lambda rule, spec: 8)
+    monkeypatch.setattr(mc_harness, "_block_hint", lambda *units: 8)
     monkeypatch.setattr(mc_harness, "_BATCH_STEPS", 2**9)
     assert (values["stop_time"] > 240 * spec.time_per_step).sum() > 10
     check()
+    _check_small_slices(monkeypatch, rule, spec, seed, max_steps, fired, values)
 
 
 def test_nested_gap_chain_passes_over_candidate_chunks_that_do_not_fire(monkeypatch):

@@ -1,6 +1,8 @@
 """Stopping predicates and the vectorized kernel: exhaustive equivalence with
 the step-by-step reference, firing-order properties, and censoring semantics."""
 
+import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -141,6 +143,7 @@ def assert_kernel_matches_reference(rule, word, spec):
         assert getattr(out.final_state, field) == getattr(state_ref, field), (
             field, rule, word,
         )
+    return out
 
 
 def test_exhaustive_words_all_rules():
@@ -165,6 +168,51 @@ def test_random_words_all_rules(word, rule_unit, h):
     else:
         rule = type(rule_unit)(rule_unit.d * scale)
     assert_kernel_matches_reference(rule, word, LatticeSpec(h=h))
+
+
+def test_words_longer_than_one_slice():
+    """run_until_stop scans each block in 8192-step slices.  Drawdown(100)
+    and Rise(100) draw blocks of 2048, 4096, 8192, 16384 and 32768 steps, so
+    slices start after steps 14336, 22528, 30720 and 38912: these words fire
+    at the last and the first step of a slice in the two longest blocks.  On
+    a random word, rules fire in later slices or run out inside one."""
+    tail = "UD" * 50  # the guard lies in the next slice
+    for stop in (22528, 22529):
+        assert_kernel_matches_reference(Drawdown(100.0), "U" * (stop - 100) + "D" * 100 + tail, UNIT)
+    for stop in (38912, 38913):
+        assert_kernel_matches_reference(Rise(100.0), "D" * (stop - 100) + "U" * 100 + tail, UNIT)
+    word = "".join(np.random.default_rng(8192).choice(["U", "D"], size=3 * 8192 + 7))
+    late = censored = 0
+    for rule in (
+        Gap(60.0), DropDrawdown(70.0), Drawdown(100.0), Rise(100.0),
+        AbsGap(70.0), DiameterReach(300.0), FirstExit(-120.0, 100.0),
+    ):
+        out = assert_kernel_matches_reference(rule, word, UNIT)
+        late += out.fired and out.final_state.steps > 8192
+        censored += not out.fired
+    assert late > 0 and censored > 0
+
+
+def test_shared_generator_draw_schedule_is_pinned():
+    """Paths drawn one after another from one generator: each path uses up
+    its last block of draws whole, so the block schedule decides every
+    later path.  These paths reach blocks of 8192, 16384 and 32768 steps,
+    and a guard of 20000 steps clips one.  A schedule change fails here;
+    it is a stream change, to be made on purpose and recorded."""
+    h = 1.0 / 32
+    cases = [
+        (Gap(64 * h), None), (Gap(64 * h), 20_000), (DropDrawdown(80 * h), None),
+        (Drawdown(110 * h), None), (Rise(110 * h), None), (AbsGap(80 * h), None),
+        (DiameterReach(156 * h), None), (FirstExit(-100 * h, 120 * h), None),
+    ]
+    spec, gen = LatticeSpec(h=h), np.random.default_rng(20081)
+    paths = [run_until_stop(rule, spec, gen, guard) for rule, guard in cases for _ in range(40)]
+    assert max(p.final_state.steps for p in paths) > 2048 + 4096 + 8192 + 16384
+    assert not all(p.fired for p in paths)
+    blob = repr([(p.fired, p.stop_time, p.terminal_x, dataclasses.astuple(p.final_state)) for p in paths])
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "cb18defd4c2cad63d3eee30913bc98991252e9f0620bd25f31bbded213902e51"
+    )
 
 
 def test_first_firing_is_minimal():
