@@ -259,10 +259,10 @@ def default_max_steps(rule: StopRule, spec: LatticeSpec) -> int:
 
     `scale` is the largest threshold in lattice units.
     """
-    return _guard(*rule_units(rule, spec))
+    return _guard(*rule_units(rule, spec)[1:])
 
 
-def _guard(kind: str, k: int, klo: int, khi: int) -> int:
+def _guard(k: int, klo: int, khi: int) -> int:
     return 400 * max(k, -klo, khi) ** 2
 
 
@@ -297,9 +297,9 @@ def run_until_stop(
     in cache, and slices past the firing one are skipped.  Slices never
     change the output; the draws alone fix it.
     """
-    units = kind, k, klo, khi = rule_units(rule, spec)
+    kind, k, klo, khi = rule_units(rule, spec)
     if max_steps is None:
-        max_steps = _guard(*units)
+        max_steps = _guard(k, klo, khi)
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
 
@@ -310,7 +310,7 @@ def run_until_stop(
     row = _RULES[kind]
     steps = ix = imax = imin = idrop = irise = 0
     fired = False
-    block = min(_block_hint(*units), _FIRST_BLOCK, max_steps)
+    block = min(_block_hint(kind, k, klo, khi), _FIRST_BLOCK, max_steps)
     while not fired and steps < max_steps:
         draws = stream.integers(0, 2, size=min(block, max_steps - steps), dtype=np.int64)
         block = min(2 * block, _MAX_BLOCK)
