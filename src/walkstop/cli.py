@@ -23,14 +23,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .exact_walk import (
-    WalkDP,
-    closed_forms,
-    dp_solve,
-    exact_stop_steps,
-    exact_stop_time,
-    walk_diameter_pmf,
-)
+from .exact_walk import WalkDP, closed_forms, dp_solve, walk_diameter_pmf
 from .mc_harness import (
     REWARD_NAMES,
     Z99,
@@ -46,8 +39,8 @@ from .mc_harness import (
     sweep_payoff,
 )
 from .path_engine import LatticeError, LatticeSpec
-from .q_process import QParams, payoff, q_gap_form, q_value
-from .stopping_rules import _RULES, DiameterReach, Drawdown, DropDrawdown, Gap
+from .q_process import QParams, _premium_branches, payoff, q_gap_form, q_value
+from .stopping_rules import _RULES, DiameterReach, Drawdown, rule_units
 
 __all__ = ["main"]
 
@@ -214,37 +207,30 @@ def _cmd_simulate(args):
     return params, results, st.censored, table, failures
 
 
+# result key -> (rule kind, published window of E[reward] / sqrt(E[T]))
 _BOUNDS_WINDOWS = {
-    # rule key -> (reward, window_low, window_high, E[reward] / threshold on
-    # the lattice: 3 for the gap diameter, 2 for the drop supremum, 1 for
-    # the running max at a drawdown)
-    "gap_ratio": ("diameter", 1.70, 1.77, 3),
-    "drop_ratio": ("drop_sup", 1.39, 1.45, 2),
-    "max_ratio": ("max", 0.97, 1.03, 1),
+    "gap_ratio": ("gap", 1.70, 1.77),
+    "drop_ratio": ("dropdd", 1.39, 1.45),
+    "max_ratio": ("drawdown", 0.97, 1.03),
 }
 
 
 def _cmd_bounds(args):
     h = args.h if args.h is not None else args.d / 20.0
     spec = LatticeSpec(h=h)
-    rules = {
-        "gap_ratio": Gap(args.d),
-        "drop_ratio": DropDrawdown(args.d),
-        "max_ratio": Drawdown(args.d),
-    }
     results = {}
     censored = 0
     failures = []
-    for key, rule in rules.items():
-        reward, lo, hi, reward_units = _BOUNDS_WINDOWS[key]
-        rep = ratio_report(rule, reward, spec, args.trials, args.seed, args.workers)
+    for key, (kind, lo, hi) in _BOUNDS_WINDOWS.items():
+        row = _RULES[kind]
+        rule = row.cls(args.d)
+        rep = ratio_report(rule, row.reward, spec, args.trials, args.seed, args.workers)
         results[key] = _ratio_dict(rep)
         censored += rep.reward_mean.censored
         se = (rep.ratio_ci[1] - rep.ratio_ci[0]) / (2.0 * Z99)
-        # Lattice-exact E[reward] / sqrt(E[T]) at k = d/h: 3k/sqrt(3k^2+2k)
-        # (gap), sqrt(2k/(k+1)) (drop), sqrt(k/(k+1)) (max).
-        k = spec.units(args.d, "d")
-        lattice = reward_units * k / math.sqrt(exact_stop_steps(rule, spec))
+        # Lattice-exact E[reward] / sqrt(E[T]) from the rule's row.
+        units = rule_units(rule, spec)[1:]
+        lattice = row.reward_mean(*units) / math.sqrt(row.mean(*units))
         # accept if inside the published window (calibrated for desk-scale
         # runs) or within 3 standard errors of the lattice value, so the
         # check stays honest at small --trials and on coarse lattices
@@ -346,10 +332,9 @@ def _cmd_qcheck(args):
         np.max(np.abs(q_value(params_q, delta, gamma, t) - payoff(delta, t, c) - gap_form))
     )
 
-    # delta = 2d seam: both neighbouring branch expressions, evaluated directly
+    # delta = 2d seam: q_value's two neighbouring branch expressions
     gb = rng.uniform(0.0, d, args.grid)
-    b_narrow = 3.0 * d - 2.0 * d - c * (gb * (2.0 * d - gb) + 3.0 * d * d - 2.0 * d * d)
-    b_wide = (d - gb) * (1.0 - c * (d + gb))
+    b_narrow, b_wide = _premium_branches(c, d, 2.0 * d, gb)
     delta_seam = float(np.max(np.abs(b_narrow - b_wide)))
     # gamma = d seam (only reachable for delta >= 2d): the premium must vanish
     # continuously as gamma approaches the stopping boundary from below
@@ -445,8 +430,6 @@ def _cmd_dp(args):
 
 def _cmd_sweep(args):
     c = args.c
-    if not (c > 0.0):
-        raise ValueError(f"--c must be positive, got {c}")
     try:
         grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
     except ValueError as exc:
@@ -482,10 +465,12 @@ def _cmd_sweep(args):
         failures.append(
             f"argmax_d = {result.argmax_d} more than one grid cell from {d_star}"
         )
+    gap = _RULES["gap"]
     for p in curve:
         # Lattice-exact payoff 3kh - c(3k^2+2k)h^2, k = d/h; the continuum
         # value 3d - 3cd^2 sits 2cdh above it.
-        exact = 3.0 * spec.units(p["d"], "d") * h - c * exact_stop_time(Gap(p["d"]), spec)
+        k = spec.units(p["d"], "d")
+        exact = gap.reward_mean(k, 0, 0) * h - c * gap.mean(k, 0, 0) * spec.time_per_step
         if not (p["ci_low"] <= exact <= p["ci_high"]):
             failures.append(
                 f"payoff curve at d={p['d']}: CI [{p['ci_low']:.4f}, {p['ci_high']:.4f}] "
@@ -511,13 +496,14 @@ def _cmd_closed_forms(args):
             f"decomposition {results['delta_increment_0_2d']} + {results['E_tau_d']} "
             f"!= {results['E_T_gap']}"
         )
+    # The terms cancel near d = 1/c, so the slack scales with E_D_at_T_gap.
     if not math.isclose(
         results["payoff_gap"],
-        3.0 * d - 3.0 * c * d * d,
+        results["E_D_at_T_gap"] - c * results["E_T_gap"],
         rel_tol=1e-12,
-        abs_tol=1e-15,
+        abs_tol=1e-12 * results["E_D_at_T_gap"],
     ):
-        failures.append("payoff_gap does not match 3d - 3cd^2")
+        failures.append("payoff_gap does not match E_D_at_T_gap - c * E_T_gap")
     return params, results, 0, table, failures
 
 

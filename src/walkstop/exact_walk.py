@@ -120,13 +120,10 @@ def exact_stop_steps(rule: StopRule, spec: LatticeSpec) -> float:
 
     Closed forms in lattice units k = threshold/h: diameter k(k+1)/2,
     drawdown (and rise) k(k+1), gap 3k^2 + 2k, drop-drawdown 2k^2 + 2k,
-    first exit (-lo)(hi)/h^2.  No exact form is implemented for AbsGap.
+    AbsGap 2k^2 + k, first exit (-lo)(hi)/h^2.
     """
     kind, k, klo, khi = rule_units(rule, spec)
-    mean = _RULES[kind].mean
-    if mean is None:
-        raise ValueError(f"no exact expected step count for rule {rule!r}")
-    return float(mean(k, klo, khi))
+    return float(_RULES[kind].mean(k, klo, khi))
 
 
 def exact_stop_time(rule: StopRule, spec: LatticeSpec) -> float:

@@ -65,6 +65,13 @@ def _check_domain(delta: np.ndarray, gamma: np.ndarray, t: np.ndarray | None) ->
         raise DomainError("t must be nonnegative")
 
 
+def _premium_branches(c, d, delta, gamma):
+    """The premium's narrow (delta < 2d) and wide branch expressions."""
+    narrow = 3.0 * d - delta - c * (gamma * (delta - gamma) + 3.0 * d * d - delta * delta / 2.0)
+    wide = (d - gamma) * (1.0 - c * (d + gamma))
+    return narrow, wide
+
+
 def q_value(p: QParams, delta, gamma, t):
     """Piecewise value function: delta - c*t plus the continuation premium.
 
@@ -82,11 +89,7 @@ def q_value(p: QParams, delta, gamma, t):
     )
     _check_domain(delta_a, gamma_a, t_a)
     c, d = p.c, p.d
-
-    narrow = 3.0 * d - delta_a - c * (
-        gamma_a * (delta_a - gamma_a) + 3.0 * d * d - delta_a * delta_a / 2.0
-    )
-    wide = (d - gamma_a) * (1.0 - c * (d + gamma_a))
+    narrow, wide = _premium_branches(c, d, delta_a, gamma_a)
     premium = np.where(gamma_a >= d, 0.0, np.where(delta_a < 2.0 * d, narrow, wide))
     out = delta_a - c * t_a + premium
     return float(out) if out.ndim == 0 else out

@@ -7,8 +7,9 @@ each block it draws in 8192-step slices, which never change its output.
 
 Each rule's facts live in one row of the table `_RULES`: its kind name (the
 CLI's --rule value), the fields that carry its thresholds, its exact
-expected step count, its vectorised firing predicate and its chunk test,
-which lets the packed scans skip 16-step chunks where the rule cannot fire.
+expected step count, the reward it is judged by and that reward's exact
+mean, its vectorised firing predicate and its chunk test, which lets the
+packed scans skip 16-step chunks where the rule cannot fire.
 The batched engine, the exact layer and the CLI read that row; `should_stop` stays the
 scalar reference they are tested against.
 """
@@ -153,13 +154,14 @@ class _Rule:
 
     `fields` names the dataclass fields that carry the thresholds: one, of
     k units, or FirstExit's two, of klo and khi units.  `mean(k, klo, khi)`
-    is the exact expected step count, or None where no closed form is
-    implemented.  `fires(k, klo, khi, pos, rmax, rmin, drop_run)` is the
-    firing predicate, elementwise over lattice-unit arrays of any shape, so
-    a walk runs along the last axis of a 1-D block or of a batch of trials
-    alike: `pos` holds positions, `rmax`/`rmin` the running extremes (the
-    origin included) and `drop_run` the running drop supremum, which is
-    read only when `reads_drop` is set.
+    is the exact expected step count; `reward_mean(k, klo, khi)` is the exact
+    mean at the stop, in lattice units, of the rule's `reward` (one of
+    `mc_harness.REWARD_NAMES`).  `fires(k, klo, khi, pos, rmax, rmin,
+    drop_run)` is the firing predicate, elementwise over lattice-unit
+    arrays of any shape, so a walk runs along the last axis of a 1-D block
+    or of a batch of trials alike: `pos` holds positions, `rmax`/`rmin` the
+    running extremes (the origin included) and `drop_run` the running drop
+    supremum, which is read only when `reads_drop` is set.
 
     `may_fire(k, klo, khi, x, mx, mn, dr, up, down, dd, ri)` is the chunk
     test of the packed scan: False only where the rule cannot fire at any
@@ -174,7 +176,9 @@ class _Rule:
 
     cls: type
     fields: tuple[str, ...]
-    mean: Callable[[int, int, int], float] | None
+    mean: Callable[[int, int, int], float]
+    reward: str
+    reward_mean: Callable[[int, int, int], float]
     fires: Callable[..., np.ndarray]
     may_fire: Callable[..., np.ndarray]
     reads_drop: bool = False
@@ -185,17 +189,17 @@ class _Rule:
 # largest rise above the running min is max(x + up - mn, ri).
 _RULES = {
     "drawdown": _Rule(
-        Drawdown, ("d",), lambda k, lo, hi: k * (k + 1),
+        Drawdown, ("d",), lambda k, lo, hi: k * (k + 1), "max", lambda k, lo, hi: k,
         lambda k, lo, hi, x, mx, mn, dr: mx - x >= k,
         lambda k, lo, hi, x, mx, mn, dr, up, down, dd, ri: (mx - x - down >= k) | (dd >= k),
     ),
     "rise": _Rule(
-        Rise, ("d",), lambda k, lo, hi: k * (k + 1),
+        Rise, ("d",), lambda k, lo, hi: k * (k + 1), "min_abs", lambda k, lo, hi: k,
         lambda k, lo, hi, x, mx, mn, dr: x - mn >= k,
         lambda k, lo, hi, x, mx, mn, dr, up, down, dd, ri: (x + up - mn >= k) | (ri >= k),
     ),
     "absgap": _Rule(
-        AbsGap, ("d",), None,
+        AbsGap, ("d",), lambda k, lo, hi: 2 * k * k + k, "abs_sup", lambda k, lo, hi: 2 * k,
         lambda k, lo, hi, x, mx, mn, dr: np.maximum(mx, -mn) - np.abs(x) >= k,
         # The largest |extreme| by the chunk's end, less the least |x| in it.
         lambda k, lo, hi, x, mx, mn, dr, up, down, dd, ri: (
@@ -204,7 +208,7 @@ _RULES = {
         ),
     ),
     "gap": _Rule(
-        Gap, ("d",), lambda k, lo, hi: 3 * k * k + 2 * k,
+        Gap, ("d",), lambda k, lo, hi: 3 * k * k + 2 * k, "diameter", lambda k, lo, hi: 3 * k,
         lambda k, lo, hi, x, mx, mn, dr: (mx - x >= k) & (x - mn >= k),
         # Both extremes are d away somewhere in the chunk, if not at one
         # step, and the diameter reaches 2d by its end.
@@ -214,7 +218,7 @@ _RULES = {
         ),
     ),
     "dropdd": _Rule(
-        DropDrawdown, ("d",), lambda k, lo, hi: 2 * k * k + 2 * k,
+        DropDrawdown, ("d",), lambda k, lo, hi: 2 * k * k + 2 * k, "drop_sup", lambda k, lo, hi: 2 * k,
         lambda k, lo, hi, x, mx, mn, dr: dr - (mx - x) >= k,
         # The drop supremum at the chunk's end, less the least drop in it.
         lambda k, lo, hi, x, mx, mn, dr, up, down, dd, ri: (
@@ -223,14 +227,14 @@ _RULES = {
         reads_drop=True,
     ),
     "diameter": _Rule(
-        DiameterReach, ("hdiam",), lambda k, lo, hi: k * (k + 1) / 2.0,
+        DiameterReach, ("hdiam",), lambda k, lo, hi: k * (k + 1) / 2.0, "diameter", lambda k, lo, hi: k,
         lambda k, lo, hi, x, mx, mn, dr: mx - mn >= k,
         lambda k, lo, hi, x, mx, mn, dr, up, down, dd, ri: (
             np.maximum(mx, x + up) - np.minimum(mn, x + down) >= k
         ),
     ),
     "exit": _Rule(
-        FirstExit, ("lo", "hi"), lambda k, lo, hi: -lo * hi,
+        FirstExit, ("lo", "hi"), lambda k, lo, hi: -lo * hi, "terminal_x", lambda k, lo, hi: 0,
         lambda k, lo, hi, x, mx, mn, dr: (x <= lo) | (x >= hi),
         lambda k, lo, hi, x, mx, mn, dr, up, down, dd, ri: (x + down <= lo) | (x + up >= hi),
     ),
@@ -273,10 +277,9 @@ _SLICE = 8192
 
 def _block_hint(kind: str, k: int, klo: int, khi: int) -> int:
     """First block size of a scan from `rule_units`' result: a bit over the
-    expected step count.  AbsGap has no exact mean; it takes the drop rule's.
+    exact expected step count.
     """
-    mean = _RULES[kind].mean or _RULES["dropdd"].mean
-    return int(min(_MAX_BLOCK, max(64, 1.25 * mean(k, klo, khi) + 8)))
+    return int(min(_MAX_BLOCK, max(64, 1.25 * _RULES[kind].mean(k, klo, khi) + 8)))
 
 
 def run_until_stop(

@@ -10,6 +10,10 @@ clause) carries a lattice bias of order h in its first windows — the measured
 deficit matches the -2*c*d*h prediction and halves when h halves — so that
 one test fails by design at any fixed lattice step.  See the test body for
 the quantitative analysis it prints.
+
+One companion test prints no criterion line: AbsGap's abs_sup ratio, the
+Dubins-Schwarz sqrt(2) bound for the maximal absolute value, against its
+exact lattice value.
 """
 
 import json
@@ -50,6 +54,7 @@ from walkstop.stopping_rules import (
     FirstExit,
     Gap,
     Rise,
+    _RULES,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -174,6 +179,20 @@ def test_criterion_05_running_max_ratio_one():
         5, ok, f"Drawdown(1) max/terminal ratio {rep.ratio:.5f} in [0.97, 1.03] "
         f"(the running-max expectation equals the threshold exactly)"
     )
+
+
+def test_absgap_attains_sqrt2_abs_bound():
+    """Companion to criterion 5, with no number of its own: AbsGap attains
+    the Dubins-Schwarz bound sqrt(2) for the maximal absolute value.  On the
+    lattice E[abs_sup] / sqrt(E[T]) = 2k / sqrt(2k^2 + k) = sqrt(4k/(2k+1)),
+    1.3969 at k = 20."""
+    k = 20
+    row = _RULES["absgap"]
+    lattice = row.reward_mean(k, 0, 0) / math.sqrt(row.mean(k, 0, 0))
+    assert lattice == pytest.approx(math.sqrt(4 * k / (2 * k + 1)), rel=1e-12)
+    rep = ratio_report(AbsGap(1.0), row.reward, LatticeSpec(h=1.0 / k), 100_000, 1601)
+    assert rep.reward_mean.censored == 0
+    assert rep.ratio_ci[0] <= lattice <= rep.ratio_ci[1], (rep.ratio_ci, lattice)
 
 
 def test_criterion_06_optimal_payoff_and_sweep():

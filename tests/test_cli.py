@@ -13,6 +13,7 @@ import math
 
 import pytest
 
+from walkstop import cli, exact_walk
 from walkstop.cli import _build_parser, main
 from walkstop.stopping_rules import _RULES
 
@@ -137,6 +138,21 @@ def test_closed_forms_golden_values(capsys):
         "E_delta_2d": 0.5,
         "delta_increment_0_2d": 0.5,
     }
+
+
+def test_closed_forms_assert_checks_payoff_identity(monkeypatch, capsys):
+    """--assert checks payoff_gap against E_D_at_T_gap - c * E_T_gap."""
+    # At d = 1/c the two sides are 0 up to rounding of 30 - 30.
+    code, _, err = run_cli(["closed-forms", "--c", "0.1", "--d", "10", "--assert"], capsys)
+    assert code == 0, err
+
+    def wrong(c, d):
+        table = exact_walk.closed_forms(c, d)
+        return {**table, "payoff_gap": table["payoff_gap"] + 1e-6}
+
+    monkeypatch.setattr(cli, "closed_forms", wrong)
+    code, _, err = run_cli(["closed-forms", "--no-meta", "--assert"], capsys)
+    assert code == 2 and "payoff_gap" in err
 
 
 def test_simulate_csv_is_flat_key_value(capsys):
@@ -321,6 +337,8 @@ def test_lattice_mismatch_exits_1(capsys):
         ["qcheck", "--seed", str(2**70)],
         # an exit boundary within one lattice step of the origin
         ["simulate", "--rule", "exit", "--lo=-1e-12", "--hi", "1", "--h", "1"],
+        # sweep_payoff rejects c itself
+        ["sweep", "--c", "0"],
     ],
 )
 def test_invalid_parameters_exit_1(argv, capsys):

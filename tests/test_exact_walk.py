@@ -144,6 +144,10 @@ def test_hand_counts_k1_k2():
     assert exact_stop_steps(DiameterReach(2), UNIT) == 3
     assert exact_stop_steps(DropDrawdown(2), UNIT) == 12
     assert exact_stop_steps(FirstExit(-2, 3), UNIT) == 6
+    # AbsGap: k^2 steps until |x| first reaches k, then k(k+1) more until |x|
+    # falls k below sup|x|, as a drawdown of the walk |x|, which stays positive
+    for k, steps in ((1, 3), (2, 10), (3, 21), (5, 55), (8, 136)):
+        assert exact_stop_steps(AbsGap(k), UNIT) == steps
 
 
 def test_two_stage_decomposition_identity():
@@ -165,11 +169,6 @@ def test_exact_stop_time_scales_with_h():
         (3 * 100 + 2 * 10) * 0.01
     )
     assert exact_stop_time(Drawdown(0.5), spec) == pytest.approx(5 * 6 * 0.01)
-
-
-def test_absgap_has_no_exact_formula():
-    with pytest.raises(ValueError):
-        exact_stop_steps(AbsGap(1.0), UNIT)
 
 
 # --- closed-form table ----------------------------------------------------------

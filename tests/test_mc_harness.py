@@ -74,6 +74,25 @@ def test_estimate_matches_exact_steps(rule, exact_steps):
     assert abs(st.mean - exact_steps) <= 4 * se_of(st)
 
 
+@pytest.mark.parametrize("kind", list(_RULES))
+def test_means_match_rule_table(kind):
+    """Mean step count and mean of the row's reward against the row's exact
+    lattice means: k = 6 units at h = 1/4, exit at -4 and 6 units."""
+    row = _RULES[kind]
+    spec = LatticeSpec(h=0.25)
+    levels = {"d": 1.5, "hdiam": 1.5, "lo": -1.0, "hi": 1.5}
+    rule = row.cls(*(levels[name] for name in row.fields))
+    units = rule_units(rule, spec)[1:]
+    run = collect_rewards(rule, ("stop_time", row.reward), spec, 40_000, 61)
+    assert run.censored == 0
+    steps = stats_from_sample(run.values["stop_time"] / spec.time_per_step)
+    assert abs(steps.mean - row.mean(*units)) <= 4 * se_of(steps)
+    # The diameter rule's diameter is the same in every trial: se = 0.
+    reward = stats_from_sample(run.values[row.reward])
+    target = row.reward_mean(*units) * spec.h
+    assert abs(reward.mean - target) <= max(4 * se_of(reward), 1e-12)
+
+
 def test_estimate_exact_unit_mean_rewards():
     # E[max at drawdown firing] = d exactly, every h
     st = estimate(Drawdown(1.0), "max", UNIT, 40_000, seed=13)
