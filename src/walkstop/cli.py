@@ -585,6 +585,8 @@ def main(argv=None) -> int:
             payload["timestamp"] = datetime.now(timezone.utc).isoformat()
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     _emit(text, args.out)
+    if censored:
+        sys.stderr.write(f"{_PROG}: warning: {censored} censored trials excluded\n")
 
     if args.run_checks and failures:
         for failure in failures:

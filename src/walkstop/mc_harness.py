@@ -25,7 +25,6 @@ from functools import cache
 from math import ceil, sqrt
 
 import numpy as np
-from scipy import stats as sps
 
 from .exact_walk import walk_diameter_pmf
 from .path_engine import LatticeError, LatticeSpec
@@ -496,15 +495,20 @@ def collect_rewards(
 
 
 def stats_from_sample(sample, censored: int = 0) -> TrialStats:
-    """Pooled moments of a sample; NaN entries count as censored trials."""
+    """Pooled moments of a sample; NaN entries count as censored trials.
+
+    At least two trials must contribute: one gives no variance, so no interval.
+    """
     arr = np.asarray(sample, dtype=float)
     finite = arr[~np.isnan(arr)]
     censored_total = int(censored) + int(arr.size - finite.size)
     m = int(finite.size)
     if m < 1:
         raise ValueError("no contributing trials (all censored)")
+    if m < 2:
+        raise ValueError("one contributing trial: a 99% interval needs at least 2")
     mean = float(np.mean(finite))
-    variance = float(np.var(finite, ddof=1)) if m > 1 else 0.0
+    variance = float(np.var(finite, ddof=1))
     half = Z99 * sqrt(variance / m)
     return TrialStats(
         n=m,
@@ -546,17 +550,13 @@ def ratio_report_from(result: CollectResult, reward: str) -> RatioReport:
         raise ValueError("terminal second moment must be positive")
 
     ratio = sx.mean / sqrt(sy.mean)
-    n = sx.n
-    if n > 1:
-        cov = np.cov(xf, yf, ddof=1)
-        gx = 1.0 / sqrt(sy.mean)
-        gy = -sx.mean / (2.0 * sy.mean**1.5)
-        var_ratio = (
-            gx * gx * cov[0, 0] + 2.0 * gx * gy * cov[0, 1] + gy * gy * cov[1, 1]
-        ) / n
-        se = sqrt(max(var_ratio, 0.0))
-    else:
-        se = 0.0
+    cov = np.cov(xf, yf, ddof=1)
+    gx = 1.0 / sqrt(sy.mean)
+    gy = -sx.mean / (2.0 * sy.mean**1.5)
+    var_ratio = (
+        gx * gx * cov[0, 0] + 2.0 * gx * gy * cov[0, 1] + gy * gy * cov[1, 1]
+    ) / sx.n
+    se = sqrt(max(var_ratio, 0.0))
     return RatioReport(
         reward_mean=sx,
         terminal_second_moment=sy,
@@ -632,27 +632,27 @@ class GofResult:
     kind: str
 
 
+def _finite_sample(values, name: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        raise ValueError(f"{name} is empty")
+    if np.isnan(arr).any():
+        raise ValueError(f"{name} contains NaN (censored trials must be excluded)")
+    return arr
+
+
 def gof_test(sample, target) -> GofResult:
     """Goodness-of-fit test of a sample against a target law.
 
     One-sample Kolmogorov-Smirnov for the continuous targets, two-sample KS
     for Empirical, chi-square on counts for the discrete VShape; p-values
-    use the standard asymptotics in every case.
+    use the standard asymptotics in every case.  scipy.stats is imported
+    here, after the inputs are checked, so nothing else in walkstop pays
+    for loading it.
     """
-    arr = np.asarray(sample, dtype=float)
-    if arr.size == 0:
-        raise ValueError("sample is empty")
-    if np.isnan(arr).any():
-        raise ValueError("sample contains NaN (censored trials must be excluded)")
+    arr = _finite_sample(sample, "sample")
     if np.ptp(arr) == 0.0:
         raise ValueError("degenerate sample: all values equal")
-
-    if isinstance(target, Exponential):
-        stat, p = sps.kstest(arr, "expon", args=(0.0, target.mean), method="asymp")
-        return GofResult(float(stat), float(p), "ks_exponential")
-    if isinstance(target, Uniform):
-        stat, p = sps.kstest(arr, "uniform", args=(0.0, target.hi), method="asymp")
-        return GofResult(float(stat), float(p), "ks_uniform")
     if isinstance(target, VShape):
         pmf = walk_diameter_pmf(target.hdiam)
         support = np.array(sorted(pmf), dtype=float)
@@ -665,15 +665,24 @@ def gof_test(sample, target) -> GofResult:
                 f"sample values outside the support [-{target.hdiam}, {target.hdiam}]"
             )
         expected = arr.size * np.array([pmf[int(x)] for x in support])
+    elif isinstance(target, Empirical):
+        ref = _finite_sample(target.values, "reference sample")
+    elif not isinstance(target, (Exponential, Uniform)):
+        raise TypeError(f"unknown target {target!r}")
+
+    from scipy import stats as sps
+
+    if isinstance(target, Exponential):
+        stat, p = sps.kstest(arr, "expon", args=(0.0, target.mean), method="asymp")
+        return GofResult(float(stat), float(p), "ks_exponential")
+    if isinstance(target, Uniform):
+        stat, p = sps.kstest(arr, "uniform", args=(0.0, target.hi), method="asymp")
+        return GofResult(float(stat), float(p), "ks_uniform")
+    if isinstance(target, VShape):
         stat, p = sps.chisquare(counts, expected)
         return GofResult(float(stat), float(p), "chisquare_vshape")
-    if isinstance(target, Empirical):
-        ref = np.asarray(target.values, dtype=float)
-        if ref.size == 0:
-            raise ValueError("reference sample is empty")
-        stat, p = sps.ks_2samp(arr, ref, method="asymp")
-        return GofResult(float(stat), float(p), "ks_two_sample")
-    raise TypeError(f"unknown target {target!r}")
+    stat, p = sps.ks_2samp(arr, ref, method="asymp")
+    return GofResult(float(stat), float(p), "ks_two_sample")
 
 
 # --- drift checks ----------------------------------------------------------

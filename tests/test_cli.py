@@ -339,12 +339,38 @@ def test_lattice_mismatch_exits_1(capsys):
         ["simulate", "--rule", "exit", "--lo=-1e-12", "--hi", "1", "--h", "1"],
         # sweep_payoff rejects c itself
         ["sweep", "--c", "0"],
+        # one trial gives no variance, so no interval
+        ["simulate", "--trials", "1"],
     ],
 )
 def test_invalid_parameters_exit_1(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""
     assert err.startswith("walkstop: invalid parameters:")
+
+
+@pytest.mark.parametrize("extra", [[], ["--format", "csv"], ["--assert"]])
+def test_censored_trials_warn_on_stderr(extra, monkeypatch, capsys):
+    """Censoring is reported whatever the format, and --assert still fails on it."""
+    code, clean_out, err = run_cli(["closed-forms", "--no-meta"] + extra, capsys)
+    assert code == 0 and err == ""
+    handler = cli._HANDLERS["closed-forms"]
+
+    def censoring(args):
+        params, results, _, table, failures = handler(args)
+        return params, results, 3, table, failures + ["censored trials: 3 (expected 0)"]
+
+    monkeypatch.setitem(cli._HANDLERS, "closed-forms", censoring)
+    code, out, err = run_cli(["closed-forms", "--no-meta"] + extra, capsys)
+    assert "walkstop: warning: 3 censored trials excluded\n" in err
+    if "--assert" in extra:
+        assert code == 2 and "check failed: censored trials: 3" in err
+    else:
+        assert code == 0 and err == "walkstop: warning: 3 censored trials excluded\n"
+    if "csv" in extra:
+        assert out == clean_out
+    else:
+        assert json.loads(out)["censored"] == 3
 
 
 def test_negative_values_in_exponent_notation_parse(capsys):

@@ -1,0 +1,55 @@
+"""Import cost: scipy.stats loads only when a goodness-of-fit test runs.
+
+scipy.stats takes most of a second to import, several times numpy's cost,
+and only `gof_test` (the `walkstop dist` battery) needs it.  The check runs
+in a fresh interpreter, since the pytest process has already loaded scipy.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import walkstop
+
+# Every command but dist, at small sizes; then a rejected input; then a test.
+_PROBE = """
+import contextlib, io, sys
+import numpy as np
+import walkstop
+from walkstop import cli
+
+commands = [
+    "closed-forms",
+    "qcheck --grid 10",
+    "dp --h 0.1 --cap 30",
+    "simulate --h 0.25 --trials 50",
+    "bounds --h 0.25 --trials 50",
+    "sweep --grid 0.5,0.25 --h 0.125 --trials 50",
+]
+for command in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(command.split() + ["--no-meta"]) == 0, command
+assert "scipy.stats" not in sys.modules, "a scipy-free command loaded scipy.stats"
+
+try:
+    walkstop.gof_test(np.arange(4.0), walkstop.Empirical(values=np.array([1.0, np.nan])))
+except ValueError:
+    pass
+else:
+    raise AssertionError("a NaN reference sample was accepted")
+assert "scipy.stats" not in sys.modules, "rejected input loaded scipy.stats"
+
+walkstop.gof_test(np.arange(1.0, 50.0), walkstop.Exponential(mean=25.0))
+assert "scipy.stats" in sys.modules, "gof_test ran without scipy.stats"
+"""
+
+
+def test_scipy_stats_loads_only_for_goodness_of_fit():
+    src = str(Path(walkstop.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else os.pathsep.join((src, path))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -199,6 +199,12 @@ def test_stats_from_sample_basics():
     assert st.ci_high - st.mean == pytest.approx(half)
     with pytest.raises(ValueError):
         stats_from_sample(np.array([]))
+    # one trial has no variance: no zero-width interval is reported
+    for sample in ([1.0], [np.nan, 1.0, np.nan]):
+        with pytest.raises(ValueError, match="one contributing trial"):
+            stats_from_sample(np.array(sample))
+    st = stats_from_sample(np.array([1.0, np.nan, 3.0]))
+    assert (st.n, st.censored, st.variance) == (2, 1, 2.0)
 
 
 def test_ratio_ci_coverage():
@@ -269,6 +275,11 @@ def test_gof_rejects_degenerate_input():
         gof_test(np.array([0.5, 1.5, -1.0] * 50), VShape(hdiam=2))  # off-lattice
     with pytest.raises(ValueError):
         gof_test(np.array([-3.0, 1.0, 2.0] * 50), VShape(hdiam=2))  # out of support
+    sample = np.array([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="reference sample contains NaN"):
+        gof_test(sample, Empirical(values=np.array([1.0, np.nan, 2.0, 5.0])))
+    with pytest.raises(ValueError, match="reference sample is empty"):
+        gof_test(sample, Empirical(values=np.array([])))
 
 
 def test_gof_target_validation():
