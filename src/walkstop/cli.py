@@ -261,6 +261,8 @@ def _cmd_dist(args):
     spec = LatticeSpec(h=h)
     n = args.trials
     censored = 0
+    # First, so that a bad --t fails before the other three runs.
+    drop_sample, abs_sample = levy_samples(args.t, spec, n, args.seed + 3, args.workers)
 
     exp_run = collect_rewards(Drawdown(args.d), ("max",), spec, n, args.seed, args.workers)
     censored += exp_run.censored
@@ -280,7 +282,6 @@ def _cmd_dist(args):
     chi_sample = chi_run.values["terminal_x"][chi_run.fired]
     chi_res = gof_test(chi_sample, VShape(hdiam=args.chi_k))
 
-    drop_sample, abs_sample = levy_samples(args.t, spec, n, args.seed + 3, args.workers)
     levy_res = gof_test(drop_sample, Empirical(values=abs_sample))
 
     results = {
@@ -385,8 +386,8 @@ def _cmd_qcheck(args):
 
 def _cmd_dp(args):
     c = args.c
-    if not (c > 0.0):
-        raise ValueError(f"--c must be positive, got {c}")
+    if not (0.0 < c < math.inf):
+        raise ValueError(f"--c must be positive and finite, got {c}")
     h = args.h if args.h is not None else 1.0 / (40.0 * c)
     cap = args.cap if args.cap is not None else int(math.ceil(5.0 / (c * h)))
     spec = WalkDP(c=c, h=h, cap=cap, tol=args.tol)

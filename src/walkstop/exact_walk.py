@@ -141,10 +141,10 @@ def closed_forms(c: float, d: float) -> dict:
     value consistent with the payoff 2d - 2cd^2 and the sqrt(2) ratio)
     and `E_Tplus_printed` (2/c^2); simulation adjudicates between them.
     """
-    if not (c > 0.0):
-        raise ValueError(f"c must be positive, got {c}")
-    if not (d > 0.0):
-        raise ValueError(f"d must be positive, got {d}")
+    if not (0.0 < c < math.inf):
+        raise ValueError(f"c must be positive and finite, got {c}")
+    if not (0.0 < d < math.inf):
+        raise ValueError(f"d must be positive and finite, got {d}")
     return {
         "E_tau_d": d * d,
         "E_M_tau_d": d,

@@ -22,7 +22,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
-from math import ceil, sqrt
+from math import ceil, inf, isfinite, sqrt
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from .exact_walk import walk_diameter_pmf
 from .path_engine import LatticeError, LatticeSpec
 from .q_process import QParams, q_value
 from .stopping_rules import (
-    _MAX_BLOCK,
     _RULES,
+    _SLICE,
     _block_hint,
     Gap,
     StopRule,
@@ -311,18 +311,19 @@ def _run_chunk(
     case.  Every trial still walking takes the same block of steps, in
     sub-batches of at most _BATCH_STEPS steps, as rows of one array.  The
     first block is `hint` rounded up to a multiple of 16; blocks then
-    double up to _MAX_BLOCK.  A block is read as 16-step chunks: the state
-    at each chunk's start is exact, continued from the state carried from
-    the row's last block, so results never depend on the block split.  The
-    rule's chunk test picks the chunks where it may fire, and only those
-    are walked step by step, in order, until its firing predicate holds.
-    A trial records its state at each rule's first firing step and leaves
-    when the last rule fires; rule i is censored when that step exceeds
-    guards[i].  Results have shape (hi - lo, len(rules)).
+    double up to _SLICE.  A block is read as 16-step chunks: the state at
+    each chunk's start is exact, continued from the state carried from the
+    row's last block, so results never depend on the block split.  The
+    rule's chunk score, taken once per sub-batch, picks each row's chunks
+    where its first rule yet to fire may fire, and only those are walked
+    step by step, in order, until it fires; the next rule is looked for
+    from that chunk.  A trial records its state at each rule's first firing
+    step and leaves when the last rule fires; rule i is censored when that
+    step exceeds guards[i].  Results have shape (hi - lo, len(rules)).
     """
     units = [rule_units(rule, spec) for rule in rules]
     kind, _, klo, khi = units[0]
-    ks = [k for _, k, _, _ in units]
+    ks = np.array([k for _, k, _, _ in units])
     row = _RULES[kind]
     need_drop = row.reads_drop or "drop_sup" in rewards
     stream = _Steps(seed)
@@ -334,7 +335,7 @@ def _run_chunk(
     pending = np.zeros(m, dtype=np.int64)  # each trial's first rule yet to fire
     live = np.arange(m)
     walked = 0
-    block = -(-hint // 16) * 16
+    block = min(-(-hint // 16) * 16, _SLICE)
     while live.size and walked < max(guards):
         batch = max(1, _BATCH_STEPS // block)
         walking = []
@@ -354,48 +355,40 @@ def _run_chunk(
             if need_drop:
                 fall = np.maximum(mx[:, :-1] - x[:, :-1] - down, dd)
                 dr = _scan(cdrop[idx], fall, np.maximum)
+            score = row.score(klo, khi, x[:, :-1], mx[:, :-1], mn[:, :-1],
+                              dr[:, :-1] if need_drop else None, up, down, dd, ri)
             todo = pending[idx]
-            # The chunk where each row's rule i - 1 fired in this block: rule
-            # i fires no earlier, so it is looked for from there.
-            first = np.zeros(idx.size, dtype=np.int64)
-            for i in range(int(todo.min()), u):
-                rows = np.flatnonzero(todo == i)
-                if not rows.size:
-                    continue
-                s = int(first[rows].min())
-                sel = rows if rows.size < idx.size else slice(None)
-                cand = row.may_fire(
-                    ks[i], klo, khi,
-                    *(v[sel, s:-1] if v is not None else None for v in (x, mx, mn, dr)),
-                    up[sel, s:], down[sel, s:], dd[sel, s:], ri[sel, s:],
+            cand = score >= ks[todo, None]
+            # Walk each row's candidate chunks in order until its rule fires.
+            at = cand.argmax(axis=1)
+            look = np.flatnonzero(cand[np.arange(idx.size), at])
+            while look.size:
+                c, i = at[look], todo[look]
+                pos, rmax, rmin, drop_run = _expand(
+                    codes[look, c], x[look, c], mx[look, c], mn[look, c],
+                    dr[look, c] if need_drop else None,
                 )
-                cand &= np.arange(s, codes.shape[1]) >= first[rows, None]
-                # Walk each row's candidate chunks in order until one fires.
-                at = cand.argmax(axis=1)
-                look = np.flatnonzero(cand[np.arange(rows.size), at])
-                while look.size:
-                    r, c = rows[look], s + at[look]
-                    pos, rmax, rmin, drop_run = _expand(
-                        codes[r, c], x[r, c], mx[r, c], mn[r, c],
-                        dr[r, c] if need_drop else None,
-                    )
-                    mask = row.fires(ks[i], klo, khi, pos, rmax, rmin, drop_run)
-                    j = mask.argmax(axis=1)
-                    hit = np.flatnonzero(mask[np.arange(r.size), j])
-                    if hit.size:
-                        t, jh = idx[r[hit]], j[hit]
-                        steps[t, i] = walked + 16 * c[hit] + jh + 1
-                        ix[t, i] = pos[hit, jh]
-                        imax[t, i] = rmax[hit, jh]
-                        imin[t, i] = rmin[hit, jh]
-                        if need_drop:
-                            idrop[t, i] = drop_run[hit, jh]
-                        todo[r[hit]] += 1
-                        first[r[hit]] = c[hit]
-                    miss = np.delete(look, hit)
-                    cand[miss, at[miss]] = False
-                    at[miss] = cand[miss].argmax(axis=1)
-                    look = miss[cand[miss, at[miss]]]
+                mask = row.fires(ks[i, None], klo, khi, pos, rmax, rmin, drop_run)
+                j = mask.argmax(axis=1)
+                hit = mask[np.arange(look.size), j]
+                r, jh = look[hit], j[hit]
+                t, ih = idx[r], i[hit]
+                steps[t, ih] = walked + 16 * c[hit] + jh + 1
+                ix[t, ih] = pos[hit, jh]
+                imax[t, ih] = rmax[hit, jh]
+                imin[t, ih] = rmin[hit, jh]
+                if need_drop:
+                    idrop[t, ih] = drop_run[hit, jh]
+                todo[r] += 1
+                # A row with a rule left keeps its candidates, from this chunk
+                # on, whose score reaches that rule's (higher) threshold.
+                more = todo[look] < u
+                nxt = r[more[hit]]
+                cand[nxt] &= score[nxt] >= ks[todo[nxt], None]
+                cand[look[~hit], c[~hit]] = False
+                look = look[more]
+                at[look] = cand[look].argmax(axis=1)
+                look = look[cand[look, at[look]]]
             cx[idx], cmax[idx], cmin[idx] = x[:, -1], mx[:, -1], mn[:, -1]
             if need_drop:
                 cdrop[idx] = dr[:, -1]
@@ -403,7 +396,7 @@ def _run_chunk(
             walking.append(idx[todo < u])
         live = np.concatenate(walking)
         walked += block
-        block = min(2 * block, _MAX_BLOCK)
+        block = min(2 * block, _SLICE)
     fired = (steps > 0) & (steps <= np.array(guards))
     state = (spec, steps, ix, imax, imin, idrop)
     return fired, *(np.where(fired, _reward_values(r, *state), np.nan) for r in rewards)
@@ -719,6 +712,8 @@ class DriftReport:
 
 
 def _time_units(t: float, spec: LatticeSpec, name: str) -> int:
+    if not isfinite(t):
+        raise ValueError(f"{name} must be finite, got {t}")
     steps = t / spec.time_per_step
     rounded = round(steps)
     if abs(steps - rounded) > 1e-9 * max(1.0, abs(steps)):
@@ -808,8 +803,8 @@ def drift_check(
     paths are walked to the last checkpoint, never beyond it, so two calls
     that differ only in `horizon` return the same report.
     """
-    if not (c > 0.0):
-        raise ValueError(f"c must be positive, got {c}")
+    if not (0.0 < c < inf):
+        raise ValueError(f"c must be positive and finite, got {c}")
     if not (horizon > 0.0):
         raise ValueError(f"horizon must be positive, got {horizon}")
     if n < 2:
@@ -920,8 +915,8 @@ def sweep_payoff(
     to the largest threshold; every point equals a separate
     `collect_rewards` run of Gap(d) with its own guard.
     """
-    if not (c > 0.0):
-        raise ValueError(f"c must be positive, got {c}")
+    if not (0.0 < c < inf):
+        raise ValueError(f"c must be positive and finite, got {c}")
     grid = [float(d) for d in d_grid]
     if not grid:
         raise ValueError("d_grid is empty")

@@ -9,6 +9,7 @@ suprema of the drop process (run_max - x) and rise process (x - run_min).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -23,8 +24,8 @@ class LatticeSpec:
     h: float
 
     def __post_init__(self) -> None:
-        if not (self.h > 0.0):
-            raise ValueError(f"step size must be positive, got {self.h}")
+        if not (0.0 < self.h < math.inf):
+            raise ValueError(f"step size h must be positive and finite, got {self.h}")
 
     @property
     def time_per_step(self) -> float:
@@ -33,9 +34,11 @@ class LatticeSpec:
     def units(self, level: float, name: str = "level") -> int:
         """Convert a real level to lattice units, requiring an exact multiple.
 
-        Raises LatticeError when `level` is not an integer multiple of h
-        (relative tolerance 1e-9), so thresholds always sit on the lattice.
+        Raises ValueError when `level` is not finite, and LatticeError when
+        it is not an integer multiple of h (relative tolerance 1e-9).
         """
+        if not math.isfinite(level):
+            raise ValueError(f"{name} must be finite, got {level!r}")
         k = round(level / self.h)
         if abs(k * self.h - level) > 1e-9 * max(1.0, abs(level)):
             raise LatticeError(

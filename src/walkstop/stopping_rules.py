@@ -8,14 +8,15 @@ each block it draws in 8192-step slices, which never change its output.
 Each rule's facts live in one row of the table `_RULES`: its kind name (the
 CLI's --rule value), the fields that carry its thresholds, its exact
 expected step count, the reward it is judged by and that reward's exact
-mean, its vectorised firing predicate and its chunk test, which lets the
-packed scans skip 16-step chunks where the rule cannot fire.
+mean, its vectorised firing predicate and its chunk score, an integer per
+16-step chunk that reaches the threshold wherever the rule may fire there.
 The batched engine, the exact layer and the CLI read that row; `should_stop` stays the
 scalar reference they are tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -40,8 +41,8 @@ __all__ = [
 
 
 def _require_positive(value: float, name: str) -> None:
-    if not (value > 0.0):
-        raise ValueError(f"{name} must be positive, got {value}")
+    if not (0.0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,8 @@ class FirstExit:
     hi: float
 
     def __post_init__(self) -> None:
-        if not (self.lo < 0.0 < self.hi):
-            raise ValueError(f"need lo < 0 < hi, got lo={self.lo}, hi={self.hi}")
+        if not (-math.inf < self.lo < 0.0 < self.hi < math.inf):
+            raise ValueError(f"lo and hi must be finite, lo < 0 < hi, got lo={self.lo}, hi={self.hi}")
 
 
 StopRule = Union[Drawdown, Rise, AbsGap, Gap, DropDrawdown, DiameterReach, FirstExit]
@@ -158,20 +159,20 @@ class _Rule:
     mean at the stop, in lattice units, of the rule's `reward` (one of
     `mc_harness.REWARD_NAMES`).  `fires(k, klo, khi, pos, rmax, rmin,
     drop_run)` is the firing predicate, elementwise over lattice-unit
-    arrays of any shape, so a walk runs along the last axis of a 1-D block
-    or of a batch of trials alike: `pos` holds positions, `rmax`/`rmin` the
-    running extremes (the origin included) and `drop_run` the running drop
-    supremum, which is read only when `reads_drop` is set.
+    arrays of any shape, `k` included, so a walk runs along the last axis
+    of a 1-D block or of a batch of trials alike: `pos` holds positions,
+    `rmax`/`rmin` the running extremes (the origin included) and `drop_run`
+    the running drop supremum, which is read only when `reads_drop` is set.
 
-    `may_fire(k, klo, khi, x, mx, mn, dr, up, down, dd, ri)` is the chunk
-    test of the packed scan: False only where the rule cannot fire at any
-    step of a chunk of steps.  `x`, `mx`, `mn` and `dr` are the position,
-    running extremes and drop supremum at the chunk's start; `up`/`down`
-    are the highest and lowest positions the chunk reaches after its
-    start, relative to it, and `dd`/`ri` its largest fall below and rise
-    above an earlier position of the chunk.  The test is exact (True only
-    where the rule fires) for drawdown, rise, diameter and exit, and a
-    bound for gap, dropdd and absgap.
+    `score(klo, khi, x, mx, mn, dr, up, down, dd, ri)` is the chunk score
+    of the packed scan: the rule with threshold k can fire at a step of a
+    chunk only where score >= k (k = 0 for FirstExit, whose thresholds are
+    in its score).  `x`, `mx`, `mn` and `dr` are the position, running
+    extremes and drop supremum at the chunk's start; `up`/`down` are the
+    highest and lowest positions the chunk reaches after its start,
+    relative to it, and `dd`/`ri` its largest fall below and rise above an
+    earlier position of the chunk.  score >= k is exact for drawdown, rise,
+    diameter and exit, and a bound for gap, dropdd and absgap.
     """
 
     cls: type
@@ -180,31 +181,31 @@ class _Rule:
     reward: str
     reward_mean: Callable[[int, int, int], float]
     fires: Callable[..., np.ndarray]
-    may_fire: Callable[..., np.ndarray]
+    score: Callable[..., np.ndarray]
     reads_drop: bool = False
 
 
-# Keyed by kind name, in the CLI's --rule order.  The chunk tests' largest
-# fall below the running max in a chunk is max(mx - x - down, dd), and their
+# Keyed by kind name, in the CLI's --rule order.  The scores' largest fall
+# below the running max in a chunk is max(mx - x - down, dd), and their
 # largest rise above the running min is max(x + up - mn, ri).
 _RULES = {
     "drawdown": _Rule(
         Drawdown, ("d",), lambda k, lo, hi: k * (k + 1), "max", lambda k, lo, hi: k,
         lambda k, lo, hi, x, mx, mn, dr: mx - x >= k,
-        lambda k, lo, hi, x, mx, mn, dr, up, down, dd, ri: (mx - x - down >= k) | (dd >= k),
+        lambda lo, hi, x, mx, mn, dr, up, down, dd, ri: np.maximum(mx - x - down, dd),
     ),
     "rise": _Rule(
         Rise, ("d",), lambda k, lo, hi: k * (k + 1), "min_abs", lambda k, lo, hi: k,
         lambda k, lo, hi, x, mx, mn, dr: x - mn >= k,
-        lambda k, lo, hi, x, mx, mn, dr, up, down, dd, ri: (x + up - mn >= k) | (ri >= k),
+        lambda lo, hi, x, mx, mn, dr, up, down, dd, ri: np.maximum(x + up - mn, ri),
     ),
     "absgap": _Rule(
         AbsGap, ("d",), lambda k, lo, hi: 2 * k * k + k, "abs_sup", lambda k, lo, hi: 2 * k,
         lambda k, lo, hi, x, mx, mn, dr: np.maximum(mx, -mn) - np.abs(x) >= k,
         # The largest |extreme| by the chunk's end, less the least |x| in it.
-        lambda k, lo, hi, x, mx, mn, dr, up, down, dd, ri: (
+        lambda lo, hi, x, mx, mn, dr, up, down, dd, ri: (
             np.maximum(np.maximum(mx, x + up), -np.minimum(mn, x + down))
-            - np.maximum(np.maximum(x + down, -x - up), 0) >= k
+            - np.maximum(np.maximum(x + down, -x - up), 0)
         ),
     ),
     "gap": _Rule(
@@ -212,31 +213,31 @@ _RULES = {
         lambda k, lo, hi, x, mx, mn, dr: (mx - x >= k) & (x - mn >= k),
         # Both extremes are d away somewhere in the chunk, if not at one
         # step, and the diameter reaches 2d by its end.
-        lambda k, lo, hi, x, mx, mn, dr, up, down, dd, ri: (
-            ((mx - x - down >= k) | (dd >= k)) & ((x + up - mn >= k) | (ri >= k))
-            & (np.maximum(mx, x + up) - np.minimum(mn, x + down) >= 2 * k)
+        lambda lo, hi, x, mx, mn, dr, up, down, dd, ri: np.minimum(
+            np.minimum(np.maximum(mx - x - down, dd), np.maximum(x + up - mn, ri)),
+            (np.maximum(mx, x + up) - np.minimum(mn, x + down)) >> 1,
         ),
     ),
     "dropdd": _Rule(
         DropDrawdown, ("d",), lambda k, lo, hi: 2 * k * k + 2 * k, "drop_sup", lambda k, lo, hi: 2 * k,
         lambda k, lo, hi, x, mx, mn, dr: dr - (mx - x) >= k,
         # The drop supremum at the chunk's end, less the least drop in it.
-        lambda k, lo, hi, x, mx, mn, dr, up, down, dd, ri: (
-            np.maximum(np.maximum(dr, mx - x - down), dd) - np.maximum(mx - x - up, 0) >= k
+        lambda lo, hi, x, mx, mn, dr, up, down, dd, ri: (
+            np.maximum(np.maximum(dr, mx - x - down), dd) - np.maximum(mx - x - up, 0)
         ),
         reads_drop=True,
     ),
     "diameter": _Rule(
         DiameterReach, ("hdiam",), lambda k, lo, hi: k * (k + 1) / 2.0, "diameter", lambda k, lo, hi: k,
         lambda k, lo, hi, x, mx, mn, dr: mx - mn >= k,
-        lambda k, lo, hi, x, mx, mn, dr, up, down, dd, ri: (
-            np.maximum(mx, x + up) - np.minimum(mn, x + down) >= k
+        lambda lo, hi, x, mx, mn, dr, up, down, dd, ri: (
+            np.maximum(mx, x + up) - np.minimum(mn, x + down)
         ),
     ),
     "exit": _Rule(
         FirstExit, ("lo", "hi"), lambda k, lo, hi: -lo * hi, "terminal_x", lambda k, lo, hi: 0,
         lambda k, lo, hi, x, mx, mn, dr: (x <= lo) | (x >= hi),
-        lambda k, lo, hi, x, mx, mn, dr, up, down, dd, ri: (x + down <= lo) | (x + up >= hi),
+        lambda lo, hi, x, mx, mn, dr, up, down, dd, ri: np.maximum(x + up - hi, lo - x - down),
     ),
 }
 _KINDS = {row.cls: kind for kind, row in _RULES.items()}

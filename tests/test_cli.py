@@ -349,6 +349,27 @@ def test_invalid_parameters_exit_1(argv, capsys):
     assert err.startswith("walkstop: invalid parameters:")
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["sweep", "--grid", "0.5,inf", "--trials", "10"], "d"),
+        (["simulate", "--rule", "gap", "--d", "inf", "--trials", "10"], "d"),
+        (["simulate", "--rule", "diameter", "--hdiam", "inf", "--trials", "10"], "hdiam"),
+        (["simulate", "--rule", "exit", "--lo=-inf", "--hi", "1", "--h", "0.5"], "lo"),
+        (["simulate", "--d", "1", "--h", "inf", "--trials", "10"], "step size h"),
+        (["dp", "--c", "inf"], "--c"),
+        (["sweep", "--c", "inf", "--trials", "10"], "c"),
+        (["closed-forms", "--d", "inf"], "d"),
+        (["dist", "--t", "inf"], "t"),
+    ],
+)
+def test_non_finite_inputs_exit_1(argv, name, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"walkstop: invalid parameters: {name} ")
+    assert "finite" in err
+
+
 @pytest.mark.parametrize("extra", [[], ["--format", "csv"], ["--assert"]])
 def test_censored_trials_warn_on_stderr(extra, monkeypatch, capsys):
     """Censoring is reported whatever the format, and --assert still fails on it."""

@@ -46,7 +46,7 @@ from walkstop.mc_harness import (
     _philox_stream,
     _run_chunk,
 )
-from walkstop.stopping_rules import _RULES, rule_units, run_until_stop
+from walkstop.stopping_rules import _RULES, default_max_steps, rule_units, run_until_stop
 
 UNIT = LatticeSpec(h=1.0)
 
@@ -680,19 +680,22 @@ def test_chunk_codes_hold_the_stream_steps():
     assert np.array_equal(_codes(words), np.stack([_codes(w) for w in words]))
 
 
-def _chunk_truth(kind, k, klo, khi, codes, x, mx, mn, dr):
-    """Whether the rule fires at some step of each chunk, walked step by step."""
+def _chunk_walk(codes, x, mx, mn, dr):
+    """Position, running extremes and drop supremum at each step of each
+    chunk, walked step by step."""
     pos = x[:, None] + np.cumsum(2 * ((codes[:, None] >> np.arange(16)) & 1) - 1, axis=1)
     rmax = np.maximum(np.maximum.accumulate(pos, axis=1), mx[:, None])
     rmin = np.minimum(np.minimum.accumulate(pos, axis=1), mn[:, None])
     drop_run = np.maximum(np.maximum.accumulate(rmax - pos, axis=1), dr[:, None])
-    return _RULES[kind].fires(k, klo, khi, pos, rmax, rmin, drop_run).any(axis=1)
+    return pos, rmax, rmin, drop_run
 
 
 @pytest.mark.parametrize("kind", list(_RULES))
 def test_chunk_tests_bound_the_firing_predicate(kind):
-    """A chunk test is False only where the rule fires at no step of the
-    chunk, and exact where the scan relies on it being exact."""
+    """At every threshold k in 1..24, score >= k is False only where the
+    rule fires at no step of the chunk, and exact where the scan relies on
+    it being exact.  FirstExit compares its score with k = 0; its upper
+    threshold runs over 1..24 instead."""
     rng = np.random.default_rng(97)
     n = 40_000
     codes = rng.integers(0, 2**16, n).astype(np.uint16)
@@ -700,17 +703,22 @@ def test_chunk_tests_bound_the_firing_predicate(kind):
     mx = np.maximum(x, 0) + rng.integers(0, 20, n)
     mn = np.minimum(x, 0) - rng.integers(0, 20, n)
     dr = mx - x + rng.integers(0, 12, n)
-    k, klo, khi = int(rng.integers(1, 25)), -12, 9
-    if kind == "exit":  # the walk so far is inside (klo, khi)
-        inside = (mn > klo) & (mx < khi)
-        codes, x, mx, mn, dr = (a[inside] for a in (codes, x, mx, mn, dr))
-    truth = _chunk_truth(kind, k, klo, khi, codes, x, mx, mn, dr)
     up, down, dd, ri = np.take(_chunk_tables()[1:], codes, axis=1)
-    may = _RULES[kind].may_fire(k, klo, khi, x, mx, mn, dr, up, down, dd, ri)
-    assert truth.any() and not truth.all()
-    assert not (truth & ~may).any()
-    if kind in ("drawdown", "rise", "diameter", "exit"):
-        assert np.array_equal(may, truth)
+    walk = _chunk_walk(codes, x, mx, mn, dr)
+    row = _RULES[kind]
+    mixed = 0
+    for t in range(1, 25):
+        k, klo, khi, keep = t, -12, 9, slice(None)
+        if kind == "exit":  # the walk so far is inside (klo, khi)
+            k, khi = 0, t
+            keep = (mn > klo) & (mx < khi)
+        truth = row.fires(k, klo, khi, *walk).any(axis=1)[keep]
+        may = row.score(klo, khi, x, mx, mn, dr, up, down, dd, ri)[keep] >= k
+        mixed += truth.any() and not truth.all()
+        assert not (truth & ~may).any(), t
+        if kind in ("drawdown", "rise", "diameter", "exit"):
+            assert np.array_equal(may, truth), t
+    assert mixed >= 20
 
 
 _H64 = 1.0 / 64
@@ -755,7 +763,7 @@ def test_packed_scan_matches_reference_across_chunks_and_blocks(monkeypatch, rul
 
 
 def test_nested_gap_chain_passes_over_candidate_chunks_that_do_not_fire(monkeypatch):
-    """Gap's chunk test is only a bound: in some candidate chunks both
+    """Gap's chunk score is only a bound: in some candidate chunks both
     extremes are d away, but never at one step.  Those chunks are walked
     and passed over, and every threshold of the chain still fires where a
     step-by-step run of it does."""
@@ -782,6 +790,60 @@ def test_nested_gap_chain_passes_over_candidate_chunks_that_do_not_fire(monkeypa
         assert fired[:, i].tobytes() == ok.tobytes()
         assert diameter[:, i].tobytes() == values["diameter"].tobytes()
         assert stop_time[:, i].tobytes() == values["stop_time"].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gap", "drawdown", "rise", "absgap", "dropdd", "diameter"])
+def test_chain_matches_per_threshold_runs_byte_for_byte(monkeypatch, kind):
+    """A chain of close thresholds, walked once, equals a separate
+    collect_rewards run at each threshold, byte for byte.  Some row fires
+    two thresholds inside one 16-step chunk, and rows of one sub-batch
+    wait on different thresholds in one candidate pass."""
+    spec = LatticeSpec(h=1.0 / 16)
+    row = _RULES[kind]
+    rules = tuple(row.cls(k * spec.h) for k in (2, 3, 4, 5, 7))
+    guards = tuple(default_max_steps(rule, spec) for rule in rules)
+    n, seed = 400, 53
+    waits = []
+
+    def fires(k, *args):
+        waits.append(np.unique(k).size)
+        return row.fires(k, *args)
+
+    monkeypatch.setitem(_RULES, kind, dataclasses.replace(row, fires=fires))
+    fired, *values = _run_chunk(0, n, rules, guards, spec, seed, REWARD_NAMES, 16)
+    assert max(waits) > 1
+    chunk = (values[REWARD_NAMES.index("stop_time")] / spec.time_per_step - 1) // 16
+    assert (chunk[:, 1:] == chunk[:, :-1]).any()
+    for i, (rule, guard) in enumerate(zip(rules, guards)):
+        run = collect_rewards(rule, REWARD_NAMES, spec, n, seed, max_steps=guard)
+        assert fired[:, i].tobytes() == run.fired.tobytes()
+        for name, value in zip(REWARD_NAMES, values):
+            assert value[:, i].tobytes() == run.values[name].tobytes(), (i, name)
+
+
+def test_blocks_capped_small_match_the_default_schedule(monkeypatch):
+    """With blocks doubling from 16 steps up to a _SLICE of 48, trials span
+    many capped blocks; a Gap chain and a single DropDrawdown, which
+    carries the drop supremum across blocks, are unchanged."""
+    spec = LatticeSpec(h=1.0 / 32)
+    chain = tuple(Gap(k * spec.h) for k in (3, 5, 10))
+    guards = tuple(default_max_steps(rule, spec) for rule in chain)
+    drop = DropDrawdown(10 * spec.h)
+    n, seed = 300, 59
+
+    def run():
+        walked = _run_chunk(0, n, chain, guards, spec, seed, REWARD_NAMES, 8)
+        single = collect_rewards(drop, REWARD_NAMES, spec, n, seed)
+        return walked, (single.fired, *single.values.values())
+
+    want = run()
+    monkeypatch.setattr(mc_harness, "_SLICE", 48)
+    got = run()
+    for stop_time in (want[0][1 + REWARD_NAMES.index("stop_time")][:, -1],
+                      want[1][1 + REWARD_NAMES.index("stop_time")]):
+        assert (stop_time > 8 * 48 * spec.time_per_step).sum() > 10
+    for a, b in zip(want[0] + want[1], got[0] + got[1]):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_library_fan_out_rejects_fewer_than_one_worker():

@@ -97,6 +97,15 @@ def test_lattice_spec_validation():
         spec.units(0.03)
     with pytest.raises(LatticeError):
         LatticeSpec(h=0.25).units(0.3, "threshold")
+    # Non-finite steps and levels are ValueErrors naming the parameter,
+    # not an OverflowError or a NaN cast.
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="step size h must be positive and finite"):
+            LatticeSpec(h=bad)
+    for bad in (float("inf"), -float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="threshold must be finite") as err:
+            spec.units(bad, "threshold")
+        assert not isinstance(err.value, LatticeError)
 
 
 def test_exhaustive_short_words_match_oracle():

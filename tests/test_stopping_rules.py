@@ -95,7 +95,7 @@ def test_should_stop_hand_states():
 
 
 def test_rule_validation():
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             Drawdown(bad)
         with pytest.raises(ValueError):
@@ -106,6 +106,9 @@ def test_rule_validation():
         FirstExit(1.0, 2.0)  # lower bound must be below the start
     with pytest.raises(ValueError):
         FirstExit(-1.0, -0.5)
+    for lo, hi in ((-float("inf"), 1.0), (-1.0, float("inf"))):
+        with pytest.raises(ValueError, match="must be finite"):
+            FirstExit(lo, hi)
 
 
 def test_rule_units_and_lattice_errors():
