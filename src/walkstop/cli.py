@@ -118,7 +118,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--h", type=float, default=None, help="lattice step (default: 1/(40c))")
     p.add_argument("--cap", type=int, default=None, help="state cap in lattice units (default: 5/(c*h))")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="tie tolerance: a state stops where stop >= continuation - tol")
     _add_common(p)
 
     p = sub.add_parser("sweep", help="payoff curve over a grid of gap thresholds")

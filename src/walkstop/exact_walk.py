@@ -3,13 +3,13 @@
 Contents: first-exit moments, the exact termination pmf of the walk stopped
 at a target diameter (with an independent absorbing-chain oracle), exact
 expected step counts for the lattice stopping rules, the table of continuum
-closed forms the simulations must reproduce, and a value-iteration dynamic
-program that recovers the optimal gap threshold and payoff from scratch.
+closed forms the simulations must reproduce, and an exact dynamic program
+that recovers the optimal gap threshold and payoff from scratch.
 
-The dynamic program's `tol` only stops its iteration; the state cap, not
-`tol`, sets the accuracy of its value.  Each sweep computes only the band
-of states that can still change, mirrored across the exactly symmetric
-diagonal, so the results equal full-grid sweeps bit for bit.
+The dynamic program solves one diameter layer at a time, from the forced
+stop at diameter cap down to the origin, each layer in closed form as a
+least concave majorant; no iteration is involved.  The cap alone sets how
+far its value lies below the uncapped lattice value.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "closed_forms",
     "WalkDP",
     "DPSolution",
-    "ConvergenceError",
     "dp_solve",
 ]
 
@@ -162,23 +161,21 @@ def closed_forms(c: float, d: float) -> dict:
     }
 
 
-class ConvergenceError(RuntimeError):
-    """Value iteration failed to reach the requested tolerance."""
-
-
 @dataclass(frozen=True)
 class WalkDP:
     """Lattice dynamic program for the time-costed range reward.
 
     State (a, b) = (lattice distance below the running max, lattice
     distance above the running min); stopping pays (a+b)*h, each step
-    costs c*h^2.  States with a = cap or b = cap are forced stops.
+    costs c*h^2.  States with a = cap or b = cap are forced stops.  A state
+    with a + b >= cap can only move within its diameter layer, so it
+    stops too, and the box problem equals stopping forced at diameter cap.
 
-    `tol` is the stopping rule of value iteration: it stops once the
-    sup-norm change between two sweeps is below `tol`.  It is not a bound
-    on the error of the value.  The cap sets the accuracy: at c = 1,
-    h = 1/40 and cap = 200 the origin value is 0.7249502, against the
-    0.725 that the uncapped lattice gap rule reaches.
+    `tol` is only the tie tolerance of the stop region (see dp_solve); the
+    value is exact.  The cap sets how far it lies below the uncapped
+    lattice value: at c = 1, h = 1/40 the origin value is 0.7249502432 at
+    cap = 200 and 0.7250000000 at cap = 640, the value 0.725 of the
+    lattice gap rule at k = 20.
     """
 
     c: float
@@ -204,7 +201,7 @@ class WalkDP:
 
 @dataclass(frozen=True)
 class DPSolution:
-    """Solved value at the origin, stop-region bitmap, and sweep count."""
+    """Exact value at the origin, stop-region bitmap, and layers solved (cap)."""
 
     value_origin: float
     stop_region: np.ndarray
@@ -216,84 +213,64 @@ class DPSolution:
         return np.argmax(self.stop_region, axis=1)
 
 
-def _continuation(
-    values: np.ndarray, rows: int, step_cost: float, up: np.ndarray, down: np.ndarray
-) -> np.ndarray:
-    """One-step lookahead over interior states (a, b), a < rows, b in [0, cap-1].
+def _concave_majorant(y: list[float]) -> np.ndarray:
+    """Least concave majorant of the points (i, y[i]), read at every i.
 
-    An up step goes to (max(a-1, 0), b+1); a down step to (a+1, max(b-1, 0)).
-    `up` and `down` are (cap, cap) work buffers; the result is a view of
-    `up`'s first `rows` rows.
+    Monotone-chain upper hull, then linear interpolation between its vertices.
     """
-    cap = up.shape[1]
-    up, down = up[:rows], down[:rows]
-    up[0, :] = values[0, 1 : cap + 1]
-    up[1:, :] = values[0 : rows - 1, 1 : cap + 1]
-    down[:, 0] = values[1 : rows + 1, 0]
-    down[:, 1:] = values[1 : rows + 1, 0 : cap - 1]
-    np.add(up, down, out=up)
-    up *= 0.5
-    up -= step_cost
-    return up
+    hull: list[int] = []
+    for i, yi in enumerate(y):
+        # drop the last vertex while it lies on or below the chord to i
+        while len(hull) > 1:
+            j, k = hull[-2], hull[-1]
+            if (y[k] - y[j]) * (i - j) > (yi - y[j]) * (k - j):
+                break
+            hull.pop()
+        hull.append(i)
+    return np.interp(np.arange(len(y)), hull, [y[i] for i in hull])
 
 
-def dp_solve(spec: WalkDP, max_iterations: int = 200_000) -> DPSolution:
-    """Synchronous value iteration from the stop-value initial guess.
+def dp_solve(spec: WalkDP) -> DPSolution:
+    """Exact backward induction over the diameter layers s = a + b.
 
-    Iterates V <- max(stop, expected next V - c*h^2) until the sup-norm
-    change between sweeps drops below spec.tol (a stopping rule, not an
-    error bound; see WalkDP); raises ConvergenceError if the budget is
-    exhausted.  The stop region marks the states of the final iterate where
-    stop >= continuation - tol (stop preferred at ties), with the forced
-    cap boundary always a stop.
+    Within layer s the walk moves a -> a -/+ 1 and leaves only by an up
+    step at a = 0 or a down step at b = 0.  Both exits land in layer s + 1
+    at a state worth e = V(0, s + 1), by symmetry; V(0, cap) = cap*h is a
+    forced stop.  So layer s is the optimal stopping of a walk on
+    a = -1..s+1 absorbed at e at both ends, with stop value s*h and step
+    cost c*h^2, solved from s = cap - 1 down to 0.  With
+    g(a) = f(a) - c*h^2*a*(a - s) (a^2 up to a linear term, centred to keep
+    its size small), the Bellman inequality f(a) >= mean(f(a +/- 1)) - c*h^2
+    says exactly that g is concave, so the layer's value is c*h^2*a*(a - s)
+    plus the least concave majorant of stop - c*h^2*a*(a - s).  Layers
+    s >= cap have no exit and only cost steps, so every state there stops.
 
-    Each sweep recomputes only the states that can still change.  The grid
-    stays exactly symmetric in (a, b), so rows a < w are computed and
-    mirrored into columns b < w.  A state reads only its two neighbours,
-    so if the states changed by a sweep all have min(a, b) <= M, the next
-    sweep can change only states with min(a, b) <= M + 1, and w = M + 2.
-    Values, sweep count and residual equal those of full-grid sweeps bit
-    for bit.
+    The stop region marks the states where stop >= continuation - tol
+    (stop preferred at ties), continuation being the one-step lookahead of
+    the exact values; the forced cap boundary always stops.
     """
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-    cap = spec.cap
-    step_cost = spec.c * spec.h * spec.h
+    cap, h = spec.cap, spec.h
+    step_cost = spec.c * h * h
     levels = np.arange(cap + 1, dtype=float)
-    stop_values = (levels[:, None] + levels[None, :]) * spec.h
-    up = np.empty((cap, cap))
-    down = np.empty((cap, cap))
-
+    stop_values = (levels[:, None] + levels[None, :]) * h
     values = stop_values.copy()
-    rows = cap
-    iterations = 0
-    residual = np.inf
-    while iterations < max_iterations:
-        band = _continuation(values, rows, step_cost, up, down)
-        np.maximum(stop_values[:rows, :cap], band, out=band)
-        change = np.subtract(band, values[:rows, :cap], out=down[:rows])
-        np.abs(change, out=change)
-        residual = float(np.max(change))
-        values[:rows, :cap] = band
-        values[rows:cap, :rows] = band[:, rows:cap].T
-        iterations += 1
-        if residual < spec.tol:
-            break
-        # Each changed state or its mirror lies on or above the diagonal,
-        # where min(a, b) = a.
-        top = next(a for a in range(rows - 1, -1, -1) if change[a, a:].any())
-        rows = min(top + 2, cap)
-    else:
-        raise ConvergenceError(
-            f"no convergence after {max_iterations} sweeps "
-            f"(last sup-norm change {residual:.3e}, tol {spec.tol:.3e})"
-        )
+    for s in range(cap - 1, -1, -1):
+        a = np.arange(-1, s + 2)
+        bowl = step_cost * a * (a - s)
+        obstacle = s * h - bowl
+        obstacle[[0, -1]] = values[0, s + 1] - bowl[[0, -1]]
+        layer = bowl + _concave_majorant(obstacle.tolist())
+        inner = a[1:-1]
+        values[inner, s - inner] = np.maximum(layer[1:-1], s * h)
 
-    cont = _continuation(values, cap, step_cost, up, down)
+    # An up step goes to (max(a-1, 0), b+1); a down step to (a+1, max(b-1, 0)).
+    up = np.vstack([values[:1, 1:], values[: cap - 1, 1:]])
+    down = np.hstack([values[1:, :1], values[1:, : cap - 1]])
+    cont = 0.5 * (up + down) - step_cost
     stop_region = np.ones((cap + 1, cap + 1), dtype=bool)
     stop_region[:cap, :cap] = stop_values[:cap, :cap] >= cont - spec.tol
     return DPSolution(
         value_origin=float(values[0, 0]),
         stop_region=stop_region,
-        iterations=iterations,
+        iterations=cap,
     )

@@ -361,6 +361,7 @@ def test_invalid_parameters_exit_1(argv, capsys):
         (["sweep", "--c", "inf", "--trials", "10"], "c"),
         (["closed-forms", "--d", "inf"], "d"),
         (["dist", "--t", "inf"], "t"),
+        (["qcheck", "--c", "inf"], "c"),
     ],
 )
 def test_non_finite_inputs_exit_1(argv, name, capsys):
@@ -463,8 +464,9 @@ NO_META_DIGESTS = {
         "55bb3246554d65346f04ec190a435f85055b65c49c2ec28704d89c5436b35a28",
     "dist --h 0.05 --trials 1000 --t 0.25":
         "4449baa878ecdfe5e74a4f207d30fc6f1667130f325c3a4de1d6a21f40b00c3c",
+    # exact layered solve: value_origin 0.697431640839103, iterations = cap
     "dp --h 0.05 --cap 60":
-        "b007268e79572b5ca9993dc8a293ecd75627f30c61b09ba0b6eb4464231fc67c",
+        "134dac3a8bd679b8a72b1d6a9736840338ca54f9b4d415a4d67dc184067e9b5d",
     "qcheck --grid 40":
         "882742a6bd3a3a5f951d0b26693c1d989fa8a8365a124988099f2f7e33a96c84",
     "closed-forms":

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from walkstop import (
-    ConvergenceError,
     DiameterReach,
     Drawdown,
     DropDrawdown,
@@ -288,8 +287,8 @@ def test_dp_value_monotone_in_cost():
         assert v == pytest.approx(3.0 / (4.0 * c), rel=0.15)
 
 
-def _full_grid_dp(spec, max_iterations=200_000):
-    """Reference value iteration: every sweep recomputes the whole grid."""
+def _full_grid_dp(spec):
+    """Reference value iteration over the whole grid, run to a residual below 1e-15."""
     cap, step_cost = spec.cap, spec.c * spec.h * spec.h
     levels = np.arange(cap + 1, dtype=float)
     stop = (levels[:, None] + levels[None, :]) * spec.h
@@ -299,28 +298,24 @@ def _full_grid_dp(spec, max_iterations=200_000):
         down = np.hstack([v[1:, :1], v[1:, : cap - 1]])
         return 0.5 * (up + down) - step_cost
 
-    values, residual = stop.copy(), np.inf
-    for iterations in range(1, max_iterations + 1):
+    values = stop.copy()
+    for _ in range(200_000):
         new = stop.copy()
         np.maximum(stop[:cap, :cap], continuation(values), out=new[:cap, :cap])
         residual = float(np.max(np.abs(new - values)))
         values = new
-        if residual < spec.tol:
+        if residual < 1e-15:
             break
     else:
-        raise ConvergenceError(
-            f"no convergence after {max_iterations} sweeps "
-            f"(last sup-norm change {residual:.3e}, tol {spec.tol:.3e})"
-        )
+        raise RuntimeError(f"reference value iteration stalled at residual {residual:.3e}")
     region = np.ones((cap + 1, cap + 1), dtype=bool)
     region[:cap, :cap] = stop[:cap, :cap] >= continuation(values) - spec.tol
-    return float(values[0, 0]), iterations, region
+    return float(values[0, 0]), region
 
 
 @pytest.mark.parametrize(
     "c, h, cap, tol",
     [
-        (1.0, 1 / 40, 200, 1e-10),
         (2.0, 0.05, 40, 1e-8),
         (0.7, 0.1, 60, 1e-12),
         (1.0, 0.25, 12, 1e-6),
@@ -329,24 +324,26 @@ def _full_grid_dp(spec, max_iterations=200_000):
     ],
 )
 def test_dp_banded_sweep_matches_full_grid(c, h, cap, tol):
+    """The layered solve equals the converged full-grid reference."""
     spec = WalkDP(c=c, h=h, cap=cap, tol=tol)
-    value, iterations, region = _full_grid_dp(spec)
+    value, region = _full_grid_dp(spec)
     sol = dp_solve(spec)
-    assert sol.value_origin == value
-    assert sol.iterations == iterations
+    assert sol.value_origin == pytest.approx(value, abs=1e-12)
+    assert sol.iterations == cap
     assert np.array_equal(sol.stop_region, region)
     assert np.array_equal(sol.stop_boundary, [int(np.argmax(row)) for row in region])
 
 
-def test_dp_nonconvergence_raises():
-    spec = WalkDP(c=1.0, h=0.05, cap=120, tol=1e-12)
-    with pytest.raises(ConvergenceError) as got:
-        dp_solve(spec, max_iterations=10)
-    # the banded sweep reports the full-grid loop's message word for word
-    with pytest.raises(ConvergenceError) as want:
-        _full_grid_dp(spec, max_iterations=10)
-    assert str(got.value) == str(want.value) == (
-        "no convergence after 10 sweeps (last sup-norm change 1.006e-02, tol 1.000e-12)"
-    )
-    with pytest.raises(ValueError):
-        dp_solve(spec, max_iterations=0)
+def test_dp_value_is_lattice_exact():
+    # with the cap far beyond the stop box, the optimum is the lattice gap
+    # rule at k = 1/(2ch): payoff 3kh - c*h^2*(3k^2 + 2k)
+    for c, h in ((1.0, 1 / 40), (2.0, 1 / 80)):
+        k = round(1.0 / (2.0 * c * h))
+        target = 3 * k * h - c * h * h * exact_stop_steps(Gap(k * h), LatticeSpec(h=h))
+        sol = dp_solve(WalkDP(c=c, h=h, cap=640, tol=1e-10))
+        assert sol.value_origin == pytest.approx(target, abs=1e-10)
+    # a lower cap forces earlier stops, so the value rises with the cap
+    values = [dp_solve(WalkDP(c=1.0, h=1 / 40, cap=cap, tol=1e-10)).value_origin
+              for cap in (200, 300, 400)]
+    assert values == pytest.approx([0.7249502432, 0.7249997054, 0.7249999983], abs=1e-10)
+    assert values[0] < values[1] < values[2] < 0.725

@@ -16,6 +16,13 @@ def test_qparams_validation_and_optimal():
         QParams(c=0.0, d=1.0)
     with pytest.raises(ValueError):
         QParams(c=1.0, d=-1.0)
+    # c = inf used to pass, leaving d = 1/(2c) = 0 to take the blame
+    with pytest.raises(ValueError, match="c must be positive and finite"):
+        QParams.optimal(np.inf)
+    with pytest.raises(ValueError, match="c must be positive and finite"):
+        payoff(1.0, 0.0, np.inf)
+    with pytest.raises(ValueError, match="c must be positive and finite"):
+        q_gap_form(np.inf, 1.0, 0.25)
 
 
 def test_payoff_is_linear():
