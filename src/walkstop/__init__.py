@@ -1,123 +1,21 @@
 """Stopping rules on a lattice random walk: simulation, exact computation,
 and statistical verification of their drawdown/diameter/payoff laws."""
 
-from .exact_walk import (
-    DPSolution,
-    ExitStats,
-    WalkDP,
-    absorption_pmf_oracle,
-    closed_forms,
-    dp_solve,
-    exact_stop_steps,
-    exact_stop_time,
-    exit_stats,
-    walk_diameter_pmf,
-)
-from .mc_harness import (
-    REWARD_NAMES,
-    Z99,
-    CollectResult,
-    DriftReport,
-    DriftRow,
-    Empirical,
-    Exponential,
-    GofResult,
-    RatioReport,
-    SweepPoint,
-    SweepResult,
-    TrialStats,
-    Uniform,
-    VShape,
-    collect_rewards,
-    drift_check,
-    estimate,
-    gof_test,
-    levy_samples,
-    ratio_report,
-    ratio_report_from,
-    stats_from_sample,
-    sweep_payoff,
-)
-from .path_engine import LatticeError, LatticeSpec, PathState, advance, init_state
-from .q_process import DOMAIN_TOL, DomainError, QParams, payoff, q_gap_form, q_value
-from .stopping_rules import (
-    AbsGap,
-    DiameterReach,
-    Drawdown,
-    DropDrawdown,
-    FirstExit,
-    Gap,
-    Rise,
-    StoppedPath,
-    StopRule,
-    default_max_steps,
-    run_until_stop,
-    should_stop,
-)
+from . import exact_walk, mc_harness, path_engine, q_process, stopping_rules
+from .exact_walk import *
+from .mc_harness import *
+from .path_engine import *
+from .q_process import *
+from .stopping_rules import *
 
 __version__ = "0.1.0"
 
+# Each submodule's __all__ is the one list of its public names.
 __all__ = [
     "__version__",
-    # path_engine
-    "LatticeError",
-    "LatticeSpec",
-    "PathState",
-    "init_state",
-    "advance",
-    # stopping_rules
-    "Drawdown",
-    "Rise",
-    "AbsGap",
-    "Gap",
-    "DropDrawdown",
-    "DiameterReach",
-    "FirstExit",
-    "StopRule",
-    "StoppedPath",
-    "should_stop",
-    "default_max_steps",
-    "run_until_stop",
-    # q_process
-    "QParams",
-    "DomainError",
-    "DOMAIN_TOL",
-    "q_value",
-    "payoff",
-    "q_gap_form",
-    # exact_walk
-    "ExitStats",
-    "exit_stats",
-    "walk_diameter_pmf",
-    "absorption_pmf_oracle",
-    "exact_stop_steps",
-    "exact_stop_time",
-    "closed_forms",
-    "WalkDP",
-    "DPSolution",
-    "dp_solve",
-    # mc_harness
-    "Z99",
-    "REWARD_NAMES",
-    "TrialStats",
-    "RatioReport",
-    "CollectResult",
-    "collect_rewards",
-    "stats_from_sample",
-    "estimate",
-    "ratio_report",
-    "ratio_report_from",
-    "Exponential",
-    "Uniform",
-    "VShape",
-    "Empirical",
-    "GofResult",
-    "gof_test",
-    "DriftRow",
-    "DriftReport",
-    "drift_check",
-    "levy_samples",
-    "SweepPoint",
-    "SweepResult",
-    "sweep_payoff",
+    *path_engine.__all__,
+    *stopping_rules.__all__,
+    *q_process.__all__,
+    *exact_walk.__all__,
+    *mc_harness.__all__,
 ]

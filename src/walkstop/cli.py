@@ -40,18 +40,11 @@ from .mc_harness import (
 )
 from .path_engine import LatticeError, LatticeSpec
 from .q_process import QParams, _premium_branches, payoff, q_gap_form, q_value
-from .stopping_rules import _RULES, DiameterReach, Drawdown, rule_units
+from .stopping_rules import _RULES, DiameterReach, Drawdown, _require_positive, rule_units
 
 __all__ = ["main"]
 
 _PROG = "walkstop"
-
-class _CheckFailure(Exception):
-    """Carries the list of failed --assert checks."""
-
-    def __init__(self, failures: list[str]):
-        super().__init__("; ".join(failures))
-        self.failures = failures
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,7 +112,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--h", type=float, default=None, help="lattice step (default: 1/(40c))")
     p.add_argument("--cap", type=int, default=None, help="state cap in lattice units (default: 5/(c*h))")
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="tie tolerance: a state stops where stop >= continuation - tol")
+                   help="tie tolerance: a state stops where its exact value is within tol of stop")
     _add_common(p)
 
     p = sub.add_parser("sweep", help="payoff curve over a grid of gap thresholds")
@@ -170,10 +163,10 @@ def _flat_rows(results: dict, prefix: str = "") -> list[tuple[str, object]]:
 
 
 # --- command handlers ------------------------------------------------------
-# Each returns (params, results, censored, table) where table is an optional
-# (header, rows) pair used for CSV output, and raises _CheckFailure when
-# --assert is set and a documented check fails (after output is assembled by
-# the caller).
+# Each returns (params, results, censored, table, failures): table is the
+# (header, rows) pair used for CSV output and failures lists the documented
+# checks that failed; main adds the censored-trials failure and reports them
+# under --assert.
 
 
 def _cmd_simulate(args):
@@ -202,10 +195,7 @@ def _cmd_simulate(args):
     }
     results = {"estimate": _stats_dict(st)}
     table = (("key", "value"), _flat_rows(results))
-    failures = []
-    if st.censored:
-        failures.append(f"censored trials: {st.censored} (expected 0)")
-    return params, results, st.censored, table, failures
+    return params, results, st.censored, table, []
 
 
 # result key -> (rule kind, published window of E[reward] / sqrt(E[T]))
@@ -217,6 +207,7 @@ _BOUNDS_WINDOWS = {
 
 
 def _cmd_bounds(args):
+    _require_positive(args.d, "d")  # before the default h derived from it
     h = args.h if args.h is not None else args.d / 20.0
     spec = LatticeSpec(h=h)
     results = {}
@@ -242,8 +233,6 @@ def _cmd_bounds(args):
                 f"{key} = {rep.ratio:.4f} outside [{lo}, {hi}] and more than "
                 f"3 standard errors from the lattice value {lattice:.4f}"
             )
-    if censored:
-        failures.append(f"censored trials: {censored} (expected 0)")
     params = {"d": args.d, "h": h, "trials": args.trials}
     table = (
         ("rule", "ratio", "ci_low", "ci_high", "reward_mean", "terminal_second_moment"),
@@ -258,6 +247,7 @@ def _cmd_bounds(args):
 def _cmd_dist(args):
     if args.seed + 3 >= 2**64:
         raise ValueError(f"dist draws seeds seed..seed+3, all below 2**64; got {args.seed}")
+    _require_positive(args.d, "d")  # before the default h derived from it
     h = args.h if args.h is not None else args.d / 160.0
     spec = LatticeSpec(h=h)
     n = args.trials
@@ -309,8 +299,6 @@ def _cmd_dist(args):
         for name, res in results.items()
         if not res["p_value"] > 0.01
     ]
-    if censored:
-        failures.append(f"censored trials: {censored} (expected 0)")
     return params, results, censored, table, failures
 
 
@@ -390,6 +378,8 @@ def _cmd_dp(args):
     if not (0.0 < c < math.inf):
         raise ValueError(f"--c must be positive and finite, got {c}")
     h = args.h if args.h is not None else 1.0 / (40.0 * c)
+    if not (0.0 < h < math.inf):
+        raise ValueError(f"--h must be positive and finite, got {h}")
     cap = args.cap if args.cap is not None else int(math.ceil(5.0 / (c * h)))
     spec = WalkDP(c=c, h=h, cap=cap, tol=args.tol)
     sol = dp_solve(spec)
@@ -438,6 +428,8 @@ def _cmd_sweep(args):
         raise ValueError(f"--grid must be comma-separated numbers, got {args.grid!r}") from exc
     if not grid:
         raise ValueError("--grid is empty")
+    for d in grid:  # before the default h derived from them
+        _require_positive(d, "d")
     h = args.h if args.h is not None else min(grid) / 40.0
     spec = LatticeSpec(h=h)
     result = sweep_payoff(c, grid, spec, args.trials, args.seed, args.workers)
@@ -478,8 +470,6 @@ def _cmd_sweep(args):
                 f"payoff curve at d={p['d']}: CI [{p['ci_low']:.4f}, {p['ci_high']:.4f}] "
                 f"misses lattice payoff {exact:.4f}"
             )
-    if censored:
-        failures.append(f"censored trials: {censored} (expected 0)")
     return params, results, censored, table, failures
 
 
@@ -589,6 +579,7 @@ def main(argv=None) -> int:
     _emit(text, args.out)
     if censored:
         sys.stderr.write(f"{_PROG}: warning: {censored} censored trials excluded\n")
+        failures.append(f"censored trials: {censored} (expected 0)")
 
     if args.run_checks and failures:
         for failure in failures:

@@ -245,9 +245,9 @@ def dp_solve(spec: WalkDP) -> DPSolution:
     plus the least concave majorant of stop - c*h^2*a*(a - s).  Layers
     s >= cap have no exit and only cost steps, so every state there stops.
 
-    The stop region marks the states where stop >= continuation - tol
-    (stop preferred at ties), continuation being the one-step lookahead of
-    the exact values; the forced cap boundary always stops.
+    The stop region marks the states whose exact value is within tol of
+    their stop value (stop preferred at ties); the forced cap boundary
+    always stops.
     """
     cap, h = spec.cap, spec.h
     step_cost = spec.c * h * h
@@ -262,15 +262,8 @@ def dp_solve(spec: WalkDP) -> DPSolution:
         layer = bowl + _concave_majorant(obstacle.tolist())
         inner = a[1:-1]
         values[inner, s - inner] = np.maximum(layer[1:-1], s * h)
-
-    # An up step goes to (max(a-1, 0), b+1); a down step to (a+1, max(b-1, 0)).
-    up = np.vstack([values[:1, 1:], values[: cap - 1, 1:]])
-    down = np.hstack([values[1:, :1], values[1:, : cap - 1]])
-    cont = 0.5 * (up + down) - step_cost
-    stop_region = np.ones((cap + 1, cap + 1), dtype=bool)
-    stop_region[:cap, :cap] = stop_values[:cap, :cap] >= cont - spec.tol
     return DPSolution(
         value_origin=float(values[0, 0]),
-        stop_region=stop_region,
+        stop_region=values <= stop_values + spec.tol,
         iterations=cap,
     )

@@ -68,16 +68,21 @@ __all__ = [
 # Two-sided 99% normal quantile (checked against scipy in the test suite).
 Z99 = 2.5758293035489004
 
-REWARD_NAMES = (
-    "max",
-    "min_abs",
-    "abs_sup",
-    "diameter",
-    "drop_sup",
-    "stop_time",
-    "terminal_sq",
-    "terminal_x",
-)
+# Each reward per trial from its lattice-unit state at the stop, in the
+# CLI's --reward order.
+_REWARDS = {
+    "max": lambda spec, steps, ix, imax, imin, idrop: imax * spec.h,
+    "min_abs": lambda spec, steps, ix, imax, imin, idrop: -imin * spec.h,
+    "abs_sup": lambda spec, steps, ix, imax, imin, idrop: np.maximum(imax, -imin) * spec.h,
+    "diameter": lambda spec, steps, ix, imax, imin, idrop: (imax - imin) * spec.h,
+    "drop_sup": lambda spec, steps, ix, imax, imin, idrop: idrop * spec.h,
+    "stop_time": lambda spec, steps, ix, imax, imin, idrop: steps * spec.time_per_step,
+    # float_power calls libm pow, as Python's float ** 2 does; numpy's
+    # ** 2 is x * x, which differs in the last bit for some x.
+    "terminal_sq": lambda spec, steps, ix, imax, imin, idrop: np.float_power(ix * spec.h, 2.0),
+    "terminal_x": lambda spec, steps, ix, imax, imin, idrop: ix * spec.h,
+}
+REWARD_NAMES = tuple(_REWARDS)
 
 # Largest number of trials per task.  Output never depends on the split:
 # each trial's stream is keyed by (seed, trial) alone.
@@ -399,39 +404,7 @@ def _run_chunk(
         block = min(2 * block, _SLICE)
     fired = (steps > 0) & (steps <= np.array(guards))
     state = (spec, steps, ix, imax, imin, idrop)
-    return fired, *(np.where(fired, _reward_values(r, *state), np.nan) for r in rewards)
-
-
-def _reward_values(
-    name: str,
-    spec: LatticeSpec,
-    steps: np.ndarray,
-    ix: np.ndarray,
-    imax: np.ndarray,
-    imin: np.ndarray,
-    idrop: np.ndarray,
-) -> np.ndarray:
-    """One reward per trial from its lattice-unit state at the stop."""
-    h = spec.h
-    if name == "max":
-        return imax * h
-    if name == "min_abs":
-        return -imin * h
-    if name == "abs_sup":
-        return np.maximum(imax, -imin) * h
-    if name == "diameter":
-        return (imax - imin) * h
-    if name == "drop_sup":
-        return idrop * h
-    if name == "stop_time":
-        return steps * spec.time_per_step
-    if name == "terminal_x":
-        return ix * h
-    if name == "terminal_sq":
-        # float_power calls libm pow, as Python's float ** 2 does; numpy's
-        # ** 2 is x * x, which differs in the last bit for some x.
-        return np.float_power(ix * h, 2.0)
-    raise ValueError(f"unknown reward {name!r}")
+    return fired, *(np.where(fired, _REWARDS[r](*state), np.nan) for r in rewards)
 
 
 @dataclass(frozen=True)

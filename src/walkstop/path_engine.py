@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+__all__ = ["LatticeError", "LatticeSpec", "PathState", "init_state", "advance"]
+
 
 class LatticeError(ValueError):
     """A level or threshold is not an integer multiple of the step size."""

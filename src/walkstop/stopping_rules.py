@@ -280,7 +280,7 @@ def _block_hint(kind: str, k: int, klo: int, khi: int) -> int:
     """First block size of a scan from `rule_units`' result: a bit over the
     exact expected step count.
     """
-    return int(min(_MAX_BLOCK, max(64, 1.25 * _RULES[kind].mean(k, klo, khi) + 8)))
+    return int(max(64, 1.25 * _RULES[kind].mean(k, klo, khi) + 8))
 
 
 def run_until_stop(

@@ -56,3 +56,31 @@ def test_scipy_stats_loads_only_for_goodness_of_fit():
         [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# The package's public names, each declared once in its submodule's __all__.
+_PUBLIC = {
+    "path_engine": "LatticeError LatticeSpec PathState init_state advance",
+    "stopping_rules": "Drawdown Rise AbsGap Gap DropDrawdown DiameterReach FirstExit"
+    " StopRule StoppedPath should_stop default_max_steps run_until_stop",
+    "q_process": "QParams DomainError DOMAIN_TOL q_value payoff q_gap_form",
+    "exact_walk": "ExitStats exit_stats walk_diameter_pmf absorption_pmf_oracle"
+    " exact_stop_steps exact_stop_time closed_forms WalkDP DPSolution dp_solve",
+    "mc_harness": "Z99 REWARD_NAMES TrialStats RatioReport CollectResult collect_rewards"
+    " stats_from_sample estimate ratio_report ratio_report_from Exponential Uniform"
+    " VShape Empirical GofResult gof_test DriftRow DriftReport drift_check"
+    " levy_samples SweepPoint SweepResult sweep_payoff",
+}
+
+
+def test_public_names_are_declared_once_per_submodule():
+    names = walkstop.__all__
+    assert len(names) == len(set(names))
+    modules = [getattr(walkstop, module) for module in _PUBLIC]
+    assert names == ["__version__", *(n for m in modules for n in m.__all__)]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(walkstop, name) is getattr(module, name), name
+    expected = {n for group in _PUBLIC.values() for n in group.split()}
+    assert len(expected) == 56
+    assert set(names) == {"__version__"} | expected
