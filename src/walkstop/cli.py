@@ -248,6 +248,7 @@ def _cmd_dist(args):
     if args.seed + 3 >= 2**64:
         raise ValueError(f"dist draws seeds seed..seed+3, all below 2**64; got {args.seed}")
     _require_positive(args.d, "d")  # before the default h derived from it
+    _require_positive(args.chi_k, "--chi-k")  # before any run
     h = args.h if args.h is not None else args.d / 160.0
     spec = LatticeSpec(h=h)
     n = args.trials

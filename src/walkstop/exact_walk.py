@@ -6,10 +6,12 @@ expected step counts for the lattice stopping rules, the table of continuum
 closed forms the simulations must reproduce, and an exact dynamic program
 that recovers the optimal gap threshold and payoff from scratch.
 
-The dynamic program solves one diameter layer at a time, from the forced
-stop at diameter cap down to the origin, each layer in closed form as a
-least concave majorant; no iteration is involved.  The cap alone sets how
-far its value lies below the uncapped lattice value.
+The diameter only grows, so both exact solvers go one diameter layer at a
+time: the oracle carries the walk's mass forward, one small absorbing-chain
+solve per layer; the dynamic program solves back from the forced stop at
+diameter cap, each layer in closed form as a least concave majorant.  No
+iteration and no per-state Python loop is involved.  The cap alone sets
+how far the DP value lies below the uncapped lattice value.
 """
 
 from __future__ import annotations
@@ -78,40 +80,32 @@ def walk_diameter_pmf(hdiam: int) -> dict[int, float]:
 def absorption_pmf_oracle(hdiam: int) -> dict[int, float]:
     """Same pmf computed by exact absorption analysis, with no formula.
 
-    Enumerates the finite transient space of (position, running max,
-    running min) with diameter < hdiam and solves the absorbing-chain
-    linear system for the distribution of the position at first diameter
-    hdiam.  Kept to hdiam <= 12 so the dense solve stays tiny.
+    While the diameter is d the walk moves on the d + 1 cells from its min
+    to its max, having entered at an edge; a linear solve of that layer's
+    absorbing system gives its exit chances from either edge.  The mass is
+    carried over (edge, distance of the min below the start) from layer to
+    layer up to diameter hdiam, where each exit is a terminal position.
     """
     k = int(hdiam)
     if k != hdiam or not (1 <= k <= 12):
         raise ValueError(f"hdiam must be an integer in [1, 12], got {hdiam}")
 
-    index: dict[tuple[int, int, int], int] = {}
-    for diam in range(k):
-        for top in range(diam + 1):
-            bot = top - diam
-            for x in range(bot, top + 1):
-                index[(x, top, bot)] = len(index)
-
-    terminals = [x for x in range(-k, k + 1) if x != 0]
-    t_index = {x: i for i, x in enumerate(terminals)}
-    nt = len(index)
-    trans = np.zeros((nt, nt))
-    absorb = np.zeros((nt, len(terminals)))
-    for (x, top, bot), i in index.items():
-        for step in (1, -1):
-            x2 = x + step
-            top2 = max(top, x2)
-            bot2 = min(bot, x2)
-            if top2 - bot2 == k:
-                absorb[i, t_index[x2]] += 0.5
-            else:
-                trans[i, index[(x2, top2, bot2)]] += 0.5
-
-    hit = np.linalg.solve(np.eye(nt) - trans, absorb)
-    start = index[(0, 0, 0)]
-    return {x: float(hit[start, t_index[x]]) for x in terminals}
+    mass = np.zeros((2, k))  # rows: entered at the min, at the max
+    mass[0, 0] = 1.0
+    for d in range(k):
+        n = d + 1
+        system = np.eye(n) - 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+        exits = np.zeros((n, 2))  # columns: leave below cell 0, above cell d
+        exits[0, 0] = exits[-1, 1] = 0.5
+        hit = np.linalg.solve(system, exits)[[0, -1]]
+        flow = mass.T @ hit
+        # leaving below lowers the min by one; leaving above keeps it
+        mass = np.zeros((2, k))
+        mass[0, 1:] = flow[:-1, 0]
+        mass[1] = flow[:, 1]
+    # with the min i below the start, the exits land at -(i + 1) and k - i
+    terminals = [*range(-k, 0), *range(1, k + 1)]
+    return dict(zip(terminals, flow[::-1].T.ravel().tolist()))
 
 
 def exact_stop_steps(rule: StopRule, spec: LatticeSpec) -> float:
@@ -213,21 +207,25 @@ class DPSolution:
         return np.argmax(self.stop_region, axis=1)
 
 
-def _concave_majorant(y: list[float]) -> np.ndarray:
-    """Least concave majorant of the points (i, y[i]), read at every i.
+def _layer_majorant(y: np.ndarray) -> np.ndarray:
+    """Least concave majorant of one layer's obstacle, read at every i.
 
-    Monotone-chain upper hull, then linear interpolation between its vertices.
+    y has two equal ends and a concave parabola in between, so its majorant
+    is a tangent from each end (to the interior point of greatest slope seen
+    from there) joined by the parabola between the tangent points, or flat
+    if no interior point lies above the ends.
     """
-    hull: list[int] = []
-    for i, yi in enumerate(y):
-        # drop the last vertex while it lies on or below the chord to i
-        while len(hull) > 1:
-            j, k = hull[-2], hull[-1]
-            if (y[k] - y[j]) * (i - j) > (yi - y[j]) * (k - j):
-                break
-            hull.pop()
-        hull.append(i)
-    return np.interp(np.arange(len(y)), hull, [y[i] for i in hull])
+    n, end = len(y), y[0]
+    i = np.arange(n, dtype=float)
+    left = (y[1:-1] - end) / i[1:-1]
+    t = int(np.argmax(left)) + 1
+    if not left[t - 1] > 0.0:
+        return np.full(n, end)
+    r = int(np.argmax((y[1:-1] - end) / i[-2:0:-1])) + 1
+    out = y.copy()
+    out[1:t] = (y[t] - end) / t * i[1:t] + end
+    out[r + 1 : -1] = (end - y[r]) / (n - 1 - r) * (i[r + 1 : -1] - r) + y[r]
+    return out
 
 
 def dp_solve(spec: WalkDP) -> DPSolution:
@@ -259,7 +257,7 @@ def dp_solve(spec: WalkDP) -> DPSolution:
         bowl = step_cost * a * (a - s)
         obstacle = s * h - bowl
         obstacle[[0, -1]] = values[0, s + 1] - bowl[[0, -1]]
-        layer = bowl + _concave_majorant(obstacle.tolist())
+        layer = bowl + _layer_majorant(obstacle)
         inner = a[1:-1]
         values[inner, s - inner] = np.maximum(layer[1:-1], s * h)
     return DPSolution(

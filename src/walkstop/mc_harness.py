@@ -119,21 +119,16 @@ class RatioReport:
     ratio_ci: tuple[float, float]
 
 
-def _philox_stream(seed: int, trial: int) -> np.random.Generator:
-    """Trial's generator, as `_Steps` reads it; the tests' reference stream."""
-    key = np.array([seed, trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 class _Steps:
     """The +-1 steps of every trial of one seed: the one source of walk steps.
 
     Trial t walks the Philox stream keyed by (seed, t).  Its step i is +1
     when bit 31 of the i-th 32-bit half of the raw output is set, low half
     of each 64-bit word first, and -1 otherwise.  That is the sequence
-    `2 * _philox_stream(seed, t).integers(0, 2) - 1` gives, as the tests
-    pin, read without building a generator per trial: one bit generator
-    serves every trial, its key and counter rewritten for each draw.
+    `Generator(Philox(key=[seed, t])).integers(0, 2)` maps to +-1, as the
+    tests pin, read without building a generator per trial: one bit
+    generator serves every trial, its key and counter rewritten for each
+    draw.
     """
 
     def __init__(self, seed: int) -> None:
@@ -157,12 +152,6 @@ class _Steps:
         self._bg.state = self._state
         return self._bg.random_raw(count)
 
-    def signs(self, trial: int, start: int, length: int) -> np.ndarray:
-        """Steps start .. start + length - 1 of the trial as int64 +-1."""
-        words = self.words(trial, start, (length + 1) // 2)
-        steps = (words.view(np.uint32) >> 31)[:length].astype(np.int64)
-        return 2 * steps - 1
-
 
 # --- the packed scan ----------------------------------------------------------
 #
@@ -176,9 +165,10 @@ _BITS = np.arange(16, dtype=np.uint16)
 def _codes(words: np.ndarray) -> np.ndarray:
     """uint16 codes of the 16-step chunks held along the last axis of `words`.
 
-    The last axis must hold a multiple of 8 words.  A step is read as
-    `_Steps.signs` reads it, and byte pairs are joined with a shift rather
-    than a uint16 view, which would swap them on a big-endian host.
+    The last axis must hold a multiple of 8 words.  A step is +1 where bit
+    31 of its 32-bit half is set, as `_Steps` defines, and byte pairs are
+    joined with a shift rather than a uint16 view, which would swap them on
+    a big-endian host.
     """
     plus = words.view(np.uint32) >= 1 << 31
     packed = np.packbits(plus, axis=-1, bitorder="little")

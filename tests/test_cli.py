@@ -371,6 +371,8 @@ def test_invalid_parameters_exit_1(argv, capsys):
         (["dist", "--d", "inf"], "d"),
         (["sweep", "--grid", "inf"], "d"),
         (["sweep", "--grid", "0,0.5"], "d"),
+        # checked before any of the four runs, by its own name
+        (["dist", "--chi-k", "0"], "--chi-k"),
     ],
 )
 def test_non_finite_inputs_exit_1(argv, name, capsys):

@@ -24,6 +24,7 @@ from walkstop import (
     exit_stats,
     walk_diameter_pmf,
 )
+from walkstop import exact_walk
 
 UNIT = LatticeSpec(h=1.0)
 
@@ -86,13 +87,53 @@ def test_walk_diameter_pmf_second_moment_is_expected_steps():
         assert second == pytest.approx(exact_stop_steps(DiameterReach(k), UNIT))
 
 
+def _dense_absorption_pmf(k: int) -> dict[int, float]:
+    """Reference: one dense absorbing-chain solve over every transient
+    (position, running max, running min) with diameter below k."""
+    index: dict[tuple[int, int, int], int] = {}
+    for diam in range(k):
+        for top in range(diam + 1):
+            bot = top - diam
+            for x in range(bot, top + 1):
+                index[(x, top, bot)] = len(index)
+
+    terminals = [x for x in range(-k, k + 1) if x != 0]
+    t_index = {x: i for i, x in enumerate(terminals)}
+    nt = len(index)
+    trans = np.zeros((nt, nt))
+    absorb = np.zeros((nt, len(terminals)))
+    for (x, top, bot), i in index.items():
+        for step in (1, -1):
+            x2 = x + step
+            top2 = max(top, x2)
+            bot2 = min(bot, x2)
+            if top2 - bot2 == k:
+                absorb[i, t_index[x2]] += 0.5
+            else:
+                trans[i, index[(x2, top2, bot2)]] += 0.5
+
+    hit = np.linalg.solve(np.eye(nt) - trans, absorb)
+    start = index[(0, 0, 0)]
+    return {x: float(hit[start, t_index[x]]) for x in terminals}
+
+
 def test_absorption_oracle_matches_pmf():
-    for k in range(1, 9):
+    for k in range(1, 13):
         pmf = walk_diameter_pmf(k)
         oracle = absorption_pmf_oracle(k)
-        assert set(pmf) == set(oracle)
+        assert list(oracle) == sorted(pmf)
         for x in pmf:
-            assert pmf[x] == pytest.approx(oracle[x], abs=1e-10)
+            assert pmf[x] == pytest.approx(oracle[x], abs=1e-12)
+
+
+def test_layered_oracle_matches_dense_solve():
+    """The layer-by-layer solve equals one dense solve of the whole chain."""
+    for k in range(1, 13):
+        dense = _dense_absorption_pmf(k)
+        oracle = absorption_pmf_oracle(k)
+        assert list(oracle) == list(dense)
+        for x in dense:
+            assert oracle[x] == pytest.approx(dense[x], abs=1e-14)
 
 
 def test_absorption_oracle_bounds():
@@ -332,6 +373,52 @@ def test_dp_banded_sweep_matches_full_grid(c, h, cap, tol):
     assert sol.iterations == cap
     assert np.array_equal(sol.stop_region, region)
     assert np.array_equal(sol.stop_boundary, [int(np.argmax(row)) for row in region])
+
+
+def _concave_majorant(y: list[float]) -> np.ndarray:
+    """Reference: least concave majorant of the points (i, y[i]), read at
+    every i, as a monotone-chain upper hull and linear interpolation
+    between its vertices."""
+    hull: list[int] = []
+    for i, yi in enumerate(y):
+        # drop the last vertex while it lies on or below the chord to i
+        while len(hull) > 1:
+            j, k = hull[-2], hull[-1]
+            if (y[k] - y[j]) * (i - j) > (yi - y[j]) * (k - j):
+                break
+            hull.pop()
+        hull.append(i)
+    return np.interp(np.arange(len(y)), hull, [y[i] for i in hull])
+
+
+@pytest.mark.parametrize(
+    "c, h, cap",
+    [
+        (2.0, 0.05, 40),
+        (0.7, 0.1, 60),
+        (1.0, 0.25, 12),
+        (3.0, 1 / 30, 40),
+        (1.0, 1.0, 3),
+        (1.0, 1 / 40, 200),
+        (1.0, 1 / 60, 300),
+    ],
+)
+def test_layer_majorant_matches_monotone_chain(c, h, cap, monkeypatch):
+    """On every layer dp_solve builds, the two-tangent majorant equals the
+    general upper hull bit for bit; these layers include flat ones, where no
+    interior point lies above the ends."""
+    layer_majorant = exact_walk._layer_majorant
+    seen = []
+
+    def checked(y):
+        out = layer_majorant(y)
+        want = _concave_majorant(y.tolist())
+        seen.append(np.array_equal(out, want))
+        return out
+
+    monkeypatch.setattr(exact_walk, "_layer_majorant", checked)
+    dp_solve(WalkDP(c=c, h=h, cap=cap, tol=1e-10))
+    assert len(seen) == cap and all(seen)
 
 
 def test_dp_value_is_lattice_exact():

@@ -43,12 +43,24 @@ from walkstop.mc_harness import (
     _Steps,
     _chunk_tables,
     _codes,
-    _philox_stream,
     _run_chunk,
 )
 from walkstop.stopping_rules import _RULES, default_max_steps, rule_units, run_until_stop
 
 UNIT = LatticeSpec(h=1.0)
+
+
+def _philox_stream(seed: int, trial: int) -> np.random.Generator:
+    """The reference stream: trial's own generator, as `_Steps` reads it."""
+    key = np.array([seed, trial], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _signs(stream: _Steps, trial: int, start: int, length: int) -> np.ndarray:
+    """Steps start .. start + length - 1 of the trial as int64 +-1."""
+    words = stream.words(trial, start, (length + 1) // 2)
+    steps = (words.view(np.uint32) >> 31)[:length].astype(np.int64)
+    return 2 * steps - 1
 
 
 def se_of(stats) -> float:
@@ -460,11 +472,11 @@ def test_step_stream_matches_generator_integers():
         stream = _Steps(seed)
         ref = 2 * _philox_stream(seed, trial).integers(0, 2, size=2101, dtype=np.int64) - 1
         for start, length in ((0, 1), (0, 7), (0, 2101), (8, 13), (16, 1), (1024, 1077)):
-            steps = stream.signs(trial, start, length)
+            steps = _signs(stream, trial, start, length)
             assert steps.dtype == np.int64
             assert np.array_equal(steps, ref[start : start + length])
     with pytest.raises(ValueError, match="multiple of 8"):
-        _Steps(0).signs(0, 4, 10)
+        _signs(_Steps(0), 0, 4, 10)
 
 
 def _reference_rewards(rule, spec, n, seed, max_steps):
@@ -675,7 +687,7 @@ def test_chunk_codes_hold_the_stream_steps():
         codes = _codes(stream.words(trial, 16, 40))
         assert codes.dtype == np.uint16 and codes.shape == (5,)
         bits = ((codes[:, None] >> np.arange(16)) & 1).astype(np.int64)
-        assert np.array_equal(2 * bits.ravel() - 1, stream.signs(trial, 16, 80))
+        assert np.array_equal(2 * bits.ravel() - 1, _signs(stream, trial, 16, 80))
     words = np.stack([stream.words(t, 0, 16) for t in range(3)])
     assert np.array_equal(_codes(words), np.stack([_codes(w) for w in words]))
 
