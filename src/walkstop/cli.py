@@ -32,15 +32,15 @@ from .mc_harness import (
     Uniform,
     VShape,
     collect_rewards,
+    estimate,
     gof_test,
     levy_samples,
     ratio_report,
-    stats_from_sample,
     sweep_payoff,
 )
-from .path_engine import LatticeError, LatticeSpec
+from .path_engine import LatticeError, LatticeSpec, _require_positive
 from .q_process import QParams, _premium_branches, payoff, q_gap_form, q_value
-from .stopping_rules import _RULES, DiameterReach, Drawdown, _require_positive, rule_units
+from .stopping_rules import _RULES, DiameterReach, Drawdown, rule_units
 
 __all__ = ["main"]
 
@@ -179,10 +179,7 @@ def _cmd_simulate(args):
     scale = max(abs(value) for value in values)
     h = args.h if args.h is not None else scale / 20.0
     spec = LatticeSpec(h=h)
-    st_result = collect_rewards(
-        rule, (args.reward,), spec, args.trials, args.seed, args.workers
-    )
-    st = stats_from_sample(st_result.values[args.reward])
+    st = estimate(rule, args.reward, spec, args.trials, args.seed, args.workers)
     params = {
         "rule": args.rule,
         "d": args.d if "d" in row.fields else None,
@@ -251,37 +248,30 @@ def _cmd_dist(args):
     _require_positive(args.chi_k, "--chi-k")  # before any run
     h = args.h if args.h is not None else args.d / 160.0
     spec = LatticeSpec(h=h)
+    rule_units(Drawdown(args.d), spec)  # before any run
     n = args.trials
     censored = 0
     # First, so that a bad --t fails before the other three runs.
     drop_sample, abs_sample = levy_samples(args.t, spec, n, args.seed + 3, args.workers)
 
-    exp_run = collect_rewards(Drawdown(args.d), ("max",), spec, n, args.seed, args.workers)
-    censored += exp_run.censored
-    exp_sample = exp_run.values["max"][exp_run.fired]
-    exp_res = gof_test(exp_sample, Exponential(mean=args.d))
-
-    uni_run = collect_rewards(DiameterReach(args.d), ("max",), spec, n, args.seed + 1, args.workers)
-    censored += uni_run.censored
-    uni_sample = uni_run.values["max"][uni_run.fired]
-    uni_res = gof_test(uni_sample, Uniform(hi=args.d))
-
-    unit = LatticeSpec(h=1.0)
-    chi_run = collect_rewards(
-        DiameterReach(float(args.chi_k)), ("terminal_x",), unit, n, args.seed + 2, args.workers
-    )
-    censored += chi_run.censored
-    chi_sample = chi_run.values["terminal_x"][chi_run.fired]
-    chi_res = gof_test(chi_sample, VShape(hdiam=args.chi_k))
-
-    levy_res = gof_test(drop_sample, Empirical(values=abs_sample))
-
-    results = {
-        "exp_ks": {"statistic": exp_res.statistic, "p_value": exp_res.p_value},
-        "uniform_ks": {"statistic": uni_res.statistic, "p_value": uni_res.p_value},
-        "vshape_chi2": {"statistic": chi_res.statistic, "p_value": chi_res.p_value},
-        "levy_ks": {"statistic": levy_res.statistic, "p_value": levy_res.p_value},
+    # result key -> (rule, reward, lattice, target), run at seed, seed + 1, seed + 2
+    batteries = {
+        "exp_ks": (Drawdown(args.d), "max", spec, Exponential(mean=args.d)),
+        "uniform_ks": (DiameterReach(args.d), "max", spec, Uniform(hi=args.d)),
+        "vshape_chi2": (
+            DiameterReach(float(args.chi_k)), "terminal_x", LatticeSpec(h=1.0), VShape(hdiam=args.chi_k)
+        ),
     }
+    results = {}
+    for offset, (key, (rule, reward, lattice, target)) in enumerate(batteries.items()):
+        run = collect_rewards(rule, (reward,), lattice, n, args.seed + offset, args.workers)
+        censored += run.censored
+        sample = run.values[reward][run.fired]
+        res = gof_test(sample, target)
+        results[key] = {"statistic": res.statistic, "p_value": res.p_value}
+    chi_sample = sample  # the V-shape battery runs last
+    levy_res = gof_test(drop_sample, Empirical(values=abs_sample))
+    results["levy_ks"] = {"statistic": levy_res.statistic, "p_value": levy_res.p_value}
     params = {
         "d": args.d,
         "h": h,
@@ -305,8 +295,7 @@ def _cmd_dist(args):
 
 def _cmd_qcheck(args):
     c = args.c
-    if not (c > 0.0):
-        raise ValueError(f"--c must be positive, got {c}")
+    _require_positive(c, "--c")
     if args.grid < 2:
         raise ValueError(f"--grid must be >= 2, got {args.grid}")
     n_points = args.grid * args.grid
@@ -376,11 +365,9 @@ def _cmd_qcheck(args):
 
 def _cmd_dp(args):
     c = args.c
-    if not (0.0 < c < math.inf):
-        raise ValueError(f"--c must be positive and finite, got {c}")
+    _require_positive(c, "--c")
     h = args.h if args.h is not None else 1.0 / (40.0 * c)
-    if not (0.0 < h < math.inf):
-        raise ValueError(f"--h must be positive and finite, got {h}")
+    _require_positive(h, "--h")
     cap = args.cap if args.cap is not None else int(math.ceil(5.0 / (c * h)))
     spec = WalkDP(c=c, h=h, cap=cap, tol=args.tol)
     sol = dp_solve(spec)

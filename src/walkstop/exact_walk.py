@@ -16,13 +16,12 @@ how far the DP value lies below the uncapped lattice value.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .path_engine import LatticeSpec
+from .path_engine import LatticeSpec, _require_positive
 from .stopping_rules import _RULES, StopRule, rule_units
 
 __all__ = [
@@ -134,10 +133,8 @@ def closed_forms(c: float, d: float) -> dict:
     value consistent with the payoff 2d - 2cd^2 and the sqrt(2) ratio)
     and `E_Tplus_printed` (2/c^2); simulation adjudicates between them.
     """
-    if not (0.0 < c < math.inf):
-        raise ValueError(f"c must be positive and finite, got {c}")
-    if not (0.0 < d < math.inf):
-        raise ValueError(f"d must be positive and finite, got {d}")
+    _require_positive(c, "c")
+    _require_positive(d, "d")
     return {
         "E_tau_d": d * d,
         "E_M_tau_d": d,
@@ -178,10 +175,8 @@ class WalkDP:
     tol: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.c < math.inf):
-            raise ValueError(f"c must be positive and finite, got {self.c}")
-        if not (0.0 < self.h < math.inf):
-            raise ValueError(f"h must be positive and finite, got {self.h}")
+        _require_positive(self.c, "c")
+        _require_positive(self.h, "h")
         if not isinstance(self.cap, numbers.Integral) or self.cap < 2:
             raise ValueError(f"cap must be an integer >= 2, got {self.cap!r}")
         if self.cap * self.h < 3.0 / self.c - 1e-9:
@@ -189,8 +184,7 @@ class WalkDP:
                 f"cap*h = {self.cap * self.h} must reach 3/c = {3.0 / self.c} "
                 "so the forced boundary sits beyond the stopping region"
             )
-        if not (0.0 < self.tol < math.inf):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        _require_positive(self.tol, "tol")
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
-from math import ceil, inf, isfinite, sqrt
+from math import ceil, isfinite, sqrt
 
 import numpy as np
 
 from .exact_walk import walk_diameter_pmf
-from .path_engine import LatticeError, LatticeSpec
+from .path_engine import LatticeError, LatticeSpec, _require_positive
 from .q_process import QParams, q_value
 from .stopping_rules import (
     _RULES,
@@ -545,8 +545,7 @@ class Exponential:
     mean: float
 
     def __post_init__(self) -> None:
-        if not (self.mean > 0.0):
-            raise ValueError(f"mean must be positive, got {self.mean}")
+        _require_positive(self.mean, "mean")
 
 
 @dataclass(frozen=True)
@@ -556,8 +555,7 @@ class Uniform:
     hi: float
 
     def __post_init__(self) -> None:
-        if not (self.hi > 0.0):
-            raise ValueError(f"hi must be positive, got {self.hi}")
+        _require_positive(self.hi, "hi")
 
 
 @dataclass(frozen=True)
@@ -766,8 +764,7 @@ def drift_check(
     paths are walked to the last checkpoint, never beyond it, so two calls
     that differ only in `horizon` return the same report.
     """
-    if not (0.0 < c < inf):
-        raise ValueError(f"c must be positive and finite, got {c}")
+    _require_positive(c, "c")
     if not (horizon > 0.0):
         raise ValueError(f"horizon must be positive, got {horizon}")
     if n < 2:
@@ -878,8 +875,7 @@ def sweep_payoff(
     to the largest threshold; every point equals a separate
     `collect_rewards` run of Gap(d) with its own guard.
     """
-    if not (0.0 < c < inf):
-        raise ValueError(f"c must be positive and finite, got {c}")
+    _require_positive(c, "c")
     grid = [float(d) for d in d_grid]
     if not grid:
         raise ValueError("d_grid is empty")

@@ -19,6 +19,11 @@ class LatticeError(ValueError):
     """A level or threshold is not an integer multiple of the step size."""
 
 
+def _require_positive(value: float, name: str) -> None:
+    if not (0.0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Spatial step h of the walk; every step advances time by h**2."""
@@ -26,8 +31,7 @@ class LatticeSpec:
     h: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.h < math.inf):
-            raise ValueError(f"step size h must be positive and finite, got {self.h}")
+        _require_positive(self.h, "step size h")
 
     @property
     def time_per_step(self) -> float:

@@ -12,10 +12,11 @@ inputs return plain floats.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .path_engine import _require_positive
 
 __all__ = [
     "DomainError",
@@ -43,10 +44,8 @@ class QParams:
     d: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.c < math.inf):
-            raise ValueError(f"c must be positive and finite, got {self.c}")
-        if not (self.d > 0.0):
-            raise ValueError(f"d must be positive, got {self.d}")
+        _require_positive(self.c, "c")
+        _require_positive(self.d, "d")
 
     @classmethod
     def optimal(cls, c: float) -> "QParams":
@@ -101,8 +100,7 @@ def payoff(delta, t, c):
     delta_a, t_a = np.broadcast_arrays(
         np.asarray(delta, dtype=float), np.asarray(t, dtype=float)
     )
-    if not (0.0 < c < math.inf):
-        raise ValueError(f"c must be positive and finite, got {c}")
+    _require_positive(c, "c")
     if np.isnan(delta_a).any() or np.isnan(t_a).any():
         raise ValueError("delta and t must not be NaN")
     if np.any(delta_a < 0.0):
@@ -120,8 +118,7 @@ def q_gap_form(c, delta, gamma):
     delta < 1/c; and c*(1/(2c) - gamma)^2 otherwise.  Nonnegative on the
     whole domain.
     """
-    if not (0.0 < c < math.inf):
-        raise ValueError(f"c must be positive and finite, got {c}")
+    _require_positive(c, "c")
     delta_a, gamma_a = np.broadcast_arrays(
         np.asarray(delta, dtype=float), np.asarray(gamma, dtype=float)
     )

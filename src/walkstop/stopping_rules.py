@@ -1,9 +1,11 @@
 """Stopping rules over lattice walk paths and the driver that runs them.
 
-Each rule is a frozen dataclass; `should_stop` evaluates its predicate on a
-PathState.  `run_until_stop` drives a fresh path, in exact integer lattice
-units, until the predicate first holds or a step guard runs out; it scans
-each block it draws in 8192-step slices, which never change its output.
+Each rule is a frozen dataclass; the five with one threshold d subclass
+`_Threshold`, which declares d and its check.  `should_stop` evaluates a
+rule's predicate on a PathState.  `run_until_stop` drives a fresh path, in
+exact integer lattice units, until the predicate first holds or a step
+guard runs out; it scans each block it draws in 8192-step slices, which
+never change its output.
 
 Each rule's facts live in one row of the table `_RULES`: its kind name (the
 CLI's --rule value), the fields that carry its thresholds, its exact
@@ -22,7 +24,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .path_engine import LatticeSpec, PathState
+from .path_engine import LatticeSpec, PathState, _require_positive
 
 __all__ = [
     "Drawdown",
@@ -40,59 +42,39 @@ __all__ = [
 ]
 
 
-def _require_positive(value: float, name: str) -> None:
-    if not (0.0 < value < math.inf):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+@dataclass(frozen=True)
+class _Threshold:
+    """Base of the rules with one threshold d, positive and finite."""
+
+    d: float
+
+    def __post_init__(self) -> None:
+        _require_positive(self.d, "d")
 
 
 @dataclass(frozen=True)
-class Drawdown:
+class Drawdown(_Threshold):
     """Stop when the walk sits d below its running maximum."""
 
-    d: float
-
-    def __post_init__(self) -> None:
-        _require_positive(self.d, "d")
-
 
 @dataclass(frozen=True)
-class Rise:
+class Rise(_Threshold):
     """Stop when the walk sits d above its running minimum."""
 
-    d: float
-
-    def __post_init__(self) -> None:
-        _require_positive(self.d, "d")
-
 
 @dataclass(frozen=True)
-class AbsGap:
+class AbsGap(_Threshold):
     """Stop when sup|x| exceeds the current |x| by d."""
 
-    d: float
-
-    def __post_init__(self) -> None:
-        _require_positive(self.d, "d")
-
 
 @dataclass(frozen=True)
-class Gap:
+class Gap(_Threshold):
     """Stop when the walk is at least d away from both running extremes."""
 
-    d: float
-
-    def __post_init__(self) -> None:
-        _require_positive(self.d, "d")
-
 
 @dataclass(frozen=True)
-class DropDrawdown:
+class DropDrawdown(_Threshold):
     """Stop when the drop process (run_max - x) falls d below its own sup."""
-
-    d: float
-
-    def __post_init__(self) -> None:
-        _require_positive(self.d, "d")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from walkstop import cli, exact_walk
+from walkstop import cli, exact_walk, mc_harness
 from walkstop.cli import _build_parser, main
 from walkstop.stopping_rules import _RULES
 
@@ -320,6 +320,16 @@ def test_lattice_mismatch_exits_1(capsys):
     assert err.startswith("walkstop: lattice mismatch:")
 
 
+def test_dist_lattice_mismatch_fails_before_any_run(monkeypatch, capsys):
+    def no_runs(*args):
+        raise AssertionError("dist ran trials before checking --d against --h")
+
+    monkeypatch.setattr(mc_harness, "_map_trials", no_runs)
+    code, out, err = run_cli(["dist", "--d", "1.05", "--h", "0.1"], capsys)
+    assert code == 1 and out == ""
+    assert err == "walkstop: lattice mismatch: d=1.05 is not an integer multiple of h=0.1\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -361,7 +371,7 @@ def test_invalid_parameters_exit_1(argv, capsys):
         (["sweep", "--c", "inf", "--trials", "10"], "c"),
         (["closed-forms", "--d", "inf"], "d"),
         (["dist", "--t", "inf"], "t"),
-        (["qcheck", "--c", "inf"], "c"),
+        (["qcheck", "--c", "inf"], "--c"),
         # checked before cap = ceil(5/(c*h)) is derived from it
         (["dp", "--h", "0"], "--h"),
         (["dp", "--h", "nan"], "--h"),

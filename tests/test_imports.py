@@ -8,6 +8,7 @@ process has already loaded scipy.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -84,3 +85,20 @@ def test_public_names_are_declared_once_per_submodule():
     expected = {n for group in _PUBLIC.values() for n in group.split()}
     assert len(expected) == 56
     assert set(names) == {"__version__"} | expected
+
+
+def test_positivity_check_is_written_once():
+    """`0 < x < inf` lives only in `path_engine._require_positive`.
+
+    FirstExit's two-sided `-inf < lo < 0 < hi < inf` is a different check.
+    """
+    check = re.compile(r"(?<!< )0\.0 < [\w.]+ < [\w.]*inf\b")
+    found = []
+    for path in sorted(Path(walkstop.__file__).resolve().parent.glob("*.py")):
+        owner = None
+        for line in path.read_text().splitlines():
+            top = re.match(r"(?:def|class) (\w+)", line)
+            owner = top.group(1) if top else owner
+            if check.search(line):
+                found.append((path.name, owner))
+    assert found == [("path_engine.py", "_require_positive")]

@@ -299,6 +299,10 @@ def test_gof_target_validation():
         Exponential(mean=0.0)
     with pytest.raises(ValueError):
         Uniform(hi=-1.0)
+    with pytest.raises(ValueError, match="mean must be positive"):
+        Exponential(mean=np.inf)
+    with pytest.raises(ValueError, match="hi must be positive"):
+        Uniform(hi=np.inf)
     with pytest.raises(ValueError):
         VShape(hdiam=0)
 

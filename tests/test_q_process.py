@@ -16,6 +16,8 @@ def test_qparams_validation_and_optimal():
         QParams(c=0.0, d=1.0)
     with pytest.raises(ValueError):
         QParams(c=1.0, d=-1.0)
+    with pytest.raises(ValueError, match="d must be positive"):
+        QParams(c=1.0, d=np.inf)
     # c = inf used to pass, leaving d = 1/(2c) = 0 to take the blame
     with pytest.raises(ValueError, match="c must be positive and finite"):
         QParams.optimal(np.inf)

@@ -4,6 +4,7 @@ the step-by-step reference, firing-order properties, and censoring semantics."""
 import dataclasses
 import hashlib
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -96,10 +97,9 @@ def test_should_stop_hand_states():
 
 def test_rule_validation():
     for bad in (0.0, -1.0, float("inf"), float("nan")):
-        with pytest.raises(ValueError):
-            Drawdown(bad)
-        with pytest.raises(ValueError):
-            Gap(bad)
+        for cls in (Drawdown, Rise, AbsGap, Gap, DropDrawdown):
+            with pytest.raises(ValueError, match="d must be positive and finite"):
+                cls(bad)
         with pytest.raises(ValueError):
             DiameterReach(bad)
     with pytest.raises(ValueError):
@@ -109,6 +109,21 @@ def test_rule_validation():
     for lo, hi in ((-float("inf"), 1.0), (-1.0, float("inf"))):
         with pytest.raises(ValueError, match="must be finite"):
             FirstExit(lo, hi)
+
+
+def test_threshold_rules_stay_distinct_frozen_values():
+    """The five one-threshold rules share a base but keep their own identity."""
+    assert repr(Gap(1.0)) == "Gap(d=1.0)"
+    assert Gap(1.0) != Drawdown(1.0)
+    for cls in (Drawdown, Rise, AbsGap, Gap, DropDrawdown):
+        rule = cls(0.5)
+        # the process pool pickles rules
+        clone = pickle.loads(pickle.dumps(rule))
+        assert type(clone) is cls and clone == rule and hash(clone) == hash(rule)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rule.d = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rule.extra = 1.0
 
 
 def test_rule_units_and_lattice_errors():
