@@ -211,14 +211,16 @@ def _layer_majorant(y: np.ndarray) -> np.ndarray:
     """
     n, end = len(y), y[0]
     i = np.arange(n, dtype=float)
-    left = (y[1:-1] - end) / i[1:-1]
+    rise = y[1:-1] - end
+    left = rise / i[1:-1]
     t = int(np.argmax(left)) + 1
     if not left[t - 1] > 0.0:
         return np.full(n, end)
-    r = int(np.argmax((y[1:-1] - end) / i[-2:0:-1])) + 1
+    right = rise / i[-2:0:-1]
+    r = int(np.argmax(right)) + 1
     out = y.copy()
-    out[1:t] = (y[t] - end) / t * i[1:t] + end
-    out[r + 1 : -1] = (end - y[r]) / (n - 1 - r) * (i[r + 1 : -1] - r) + y[r]
+    out[1:t] = left[t - 1] * i[1:t] + end
+    out[r + 1 : -1] = -right[r - 1] * (i[r + 1 : -1] - r) + y[r]
     return out
 
 
@@ -242,18 +244,24 @@ def dp_solve(spec: WalkDP) -> DPSolution:
     always stops.
     """
     cap, h = spec.cap, spec.h
-    step_cost = spec.c * h * h
+    # Row s holds layer s at a = -1..s+1 in its first s + 3 columns.
+    layers = np.arange(cap)[:, None]
+    a = np.arange(-1, cap + 2)
+    bowl = spec.c * h * h * a * (a - layers)
+    obstacle = layers * h - bowl
+    rows = np.empty((cap, cap))  # rows[s, a] = V(a, s - a)
+    exit_value = cap * h  # V(0, s + 1): at s + 1 = cap a forced stop
+    for s in range(cap - 1, -1, -1):
+        y = obstacle[s, : s + 3]
+        y[0] = y[-1] = exit_value - bowl[s, 0]  # the bowl is equal at a = -1 and s + 1
+        layer = bowl[s, : s + 3] + _layer_majorant(y)
+        np.maximum(layer[1:-1], s * h, out=rows[s, : s + 1])
+        exit_value = rows[s, 0]
     levels = np.arange(cap + 1, dtype=float)
     stop_values = (levels[:, None] + levels[None, :]) * h
     values = stop_values.copy()
-    for s in range(cap - 1, -1, -1):
-        a = np.arange(-1, s + 2)
-        bowl = step_cost * a * (a - s)
-        obstacle = s * h - bowl
-        obstacle[[0, -1]] = values[0, s + 1] - bowl[[0, -1]]
-        layer = bowl + _layer_majorant(obstacle)
-        inner = a[1:-1]
-        values[inner, s - inner] = np.maximum(layer[1:-1], s * h)
+    s, a = np.tril_indices(cap)
+    values[a, s - a] = rows[s, a]
     return DPSolution(
         value_origin=float(values[0, 0]),
         stop_region=values <= stop_values + spec.tol,

@@ -7,7 +7,10 @@ to the optimal pairing d = 1/(2c), which is nonnegative everywhere and
 vanishes exactly where the gap rule stops.
 
 All three accept scalars or numpy arrays (broadcast together); scalar
-inputs return plain floats.
+inputs return plain floats.  `q_value` and `q_gap_form` evaluate arrays in
+slices of `_SLICE` elements written into one output; each element goes
+through the same IEEE operations, so the result is bit-identical to a
+whole-array evaluation.  There is no option to change this.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ DOMAIN_TOL = 1e-12
 
 
 class DomainError(ValueError):
-    """Raised when (delta, gamma, t) is NaN or leaves 0 <= gamma <= delta/2, t >= 0."""
+    """Raised when (delta, gamma, t) is NaN or infinite, or leaves 0 <= gamma <= delta/2, t >= 0."""
 
 
 @dataclass(frozen=True)
@@ -53,16 +56,55 @@ class QParams:
         return cls(c=c, d=1.0 / (2.0 * c))
 
 
-def _check_domain(delta: np.ndarray, gamma: np.ndarray, t: np.ndarray | None) -> None:
+def _check_domain(delta: np.ndarray, gamma: np.ndarray, t: np.ndarray | None = None) -> None:
     # NaN fails every comparison below, so it must be rejected on its own.
     if any(np.isnan(a).any() for a in (delta, gamma, t) if a is not None):
         raise DomainError("delta, gamma and t must not be NaN")
+    if any(np.isinf(a).any() for a in (delta, gamma, t) if a is not None):
+        raise DomainError("delta, gamma and t must be finite")
     if np.any(gamma < -DOMAIN_TOL) or np.any(delta < -DOMAIN_TOL):
         raise DomainError("delta and gamma must be nonnegative")
     if np.any(gamma > delta / 2.0 + DOMAIN_TOL):
         raise DomainError("gamma must not exceed delta/2")
     if t is not None and np.any(t < 0.0):
         raise DomainError("t must be nonnegative")
+
+
+def _in_domain(delta: np.ndarray, gamma: np.ndarray, t: np.ndarray | None = None) -> bool:
+    """_check_domain's verdict from tests that fail on NaN; a finite delta bounds gamma."""
+    return bool(
+        (gamma <= delta * 0.5 + DOMAIN_TOL).all()
+        and gamma.min() >= -DOMAIN_TOL
+        and delta.min() >= -DOMAIN_TOL
+        and delta.max() < np.inf
+        and (t is None or (t.min() >= 0.0 and t.max() < np.inf))
+    )
+
+
+# 8192 float64 elements are 64 KiB: each temporary stays in L2 and below
+# glibc's mmap threshold, so it is never a fresh, page-faulting mapping.
+_SLICE = 8192
+
+
+def _sliced(kernel, *inputs):
+    """kernel(delta, gamma[, t]) over the broadcast inputs, slice by slice.
+
+    A slice that fails the fast test sends the whole input to _check_domain,
+    which raises the whole-array error.  A 0-d input returns a float.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in inputs))
+    if arrays[0].ndim == 0:
+        if not _in_domain(*arrays):
+            _check_domain(*arrays)
+        return float(kernel(*arrays))
+    it = np.nditer([*arrays, None], ["external_loop", "buffered", "zerosize_ok"],
+                   [["readonly"]] * len(arrays) + [["writeonly", "allocate"]], buffersize=_SLICE)
+    with it:
+        for *part, out in it:
+            if not _in_domain(*part):
+                _check_domain(*arrays)
+            out[...] = kernel(*part)
+        return it.operands[-1]
 
 
 def _premium_branches(c, d, delta, gamma):
@@ -82,17 +124,14 @@ def q_value(p: QParams, delta, gamma, t):
     canonical pairing d = 1/(2c), where the two branch values differ by
     gamma*(1 - 2cd) = 0.
     """
-    delta_a, gamma_a, t_a = np.broadcast_arrays(
-        np.asarray(delta, dtype=float),
-        np.asarray(gamma, dtype=float),
-        np.asarray(t, dtype=float),
-    )
-    _check_domain(delta_a, gamma_a, t_a)
     c, d = p.c, p.d
-    narrow, wide = _premium_branches(c, d, delta_a, gamma_a)
-    premium = np.where(gamma_a >= d, 0.0, np.where(delta_a < 2.0 * d, narrow, wide))
-    out = delta_a - c * t_a + premium
-    return float(out) if out.ndim == 0 else out
+
+    def kernel(delta, gamma, t):
+        narrow, wide = _premium_branches(c, d, delta, gamma)
+        premium = np.where(gamma >= d, 0.0, np.where(delta < 2.0 * d, narrow, wide))
+        return delta - c * t + premium
+
+    return _sliced(kernel, delta, gamma, t)
 
 
 def payoff(delta, t, c):
@@ -101,8 +140,10 @@ def payoff(delta, t, c):
         np.asarray(delta, dtype=float), np.asarray(t, dtype=float)
     )
     _require_positive(c, "c")
-    if np.isnan(delta_a).any() or np.isnan(t_a).any():
-        raise ValueError("delta and t must not be NaN")
+    if not (np.isfinite(delta_a).all() and np.isfinite(t_a).all()):
+        if np.isnan(delta_a).any() or np.isnan(t_a).any():
+            raise ValueError("delta and t must not be NaN")
+        raise ValueError("delta and t must be finite")
     if np.any(delta_a < 0.0):
         raise ValueError("delta must be nonnegative")
     if np.any(t_a < 0.0):
@@ -119,17 +160,11 @@ def q_gap_form(c, delta, gamma):
     whole domain.
     """
     _require_positive(c, "c")
-    delta_a, gamma_a = np.broadcast_arrays(
-        np.asarray(delta, dtype=float), np.asarray(gamma, dtype=float)
-    )
-    _check_domain(delta_a, gamma_a, None)
-
     d = 1.0 / (2.0 * c)
-    narrow = c * (
-        0.25 * (1.0 / c - delta_a) * (3.0 / c - delta_a)
-        + (delta_a / 2.0 - gamma_a) ** 2
-    )
-    wide = c * (d - gamma_a) ** 2
-    out = np.where(gamma_a >= d, 0.0, np.where(delta_a < 1.0 / c, narrow, wide))
-    out = out + 0.0  # collapse 0-d arrays produced by where
-    return float(out) if out.ndim == 0 else out
+
+    def kernel(delta, gamma):
+        narrow = c * (0.25 * (1.0 / c - delta) * (3.0 / c - delta) + (delta / 2.0 - gamma) ** 2)
+        wide = c * (d - gamma) ** 2
+        return np.where(gamma >= d, 0.0, np.where(delta < 1.0 / c, narrow, wide))
+
+    return _sliced(kernel, delta, gamma)

@@ -421,6 +421,49 @@ def test_layer_majorant_matches_monotone_chain(c, h, cap, monkeypatch):
     assert len(seen) == cap and all(seen)
 
 
+def _per_layer_dp(spec):
+    """Reference: the layer loop that builds each layer's bowl and obstacle
+    and scatters its values into the (a, b) grid inside the loop."""
+    cap, h = spec.cap, spec.h
+    step_cost = spec.c * h * h
+    levels = np.arange(cap + 1, dtype=float)
+    stop_values = (levels[:, None] + levels[None, :]) * h
+    values = stop_values.copy()
+    for s in range(cap - 1, -1, -1):
+        a = np.arange(-1, s + 2)
+        bowl = step_cost * a * (a - s)
+        obstacle = s * h - bowl
+        obstacle[[0, -1]] = values[0, s + 1] - bowl[[0, -1]]
+        layer = bowl + exact_walk._layer_majorant(obstacle)
+        inner = a[1:-1]
+        values[inner, s - inner] = np.maximum(layer[1:-1], s * h)
+    return float(values[0, 0]), values <= stop_values + spec.tol
+
+
+@pytest.mark.parametrize(
+    "c, h, cap",
+    [
+        (2.0, 0.05, 40),
+        (0.7, 0.1, 60),
+        (1.0, 0.25, 12),
+        (3.0, 1 / 30, 40),
+        (1.0, 1.0, 3),
+        (1.0, 1 / 40, 200),
+        (1.0, 1 / 60, 300),
+        (1.0, 1 / 40, 640),
+        (2.0, 1 / 80, 640),
+    ],
+)
+def test_hoisted_layers_match_per_layer_loop(c, h, cap):
+    """Building every layer's bowl and obstacle up front and scattering the
+    rows once gives the per-layer loop's value and stop region bit for bit."""
+    spec = WalkDP(c=c, h=h, cap=cap, tol=1e-10)
+    value, region = _per_layer_dp(spec)
+    sol = dp_solve(spec)
+    assert np.float64(sol.value_origin).tobytes() == np.float64(value).tobytes()
+    assert np.array_equal(sol.stop_region, region)
+
+
 def test_dp_value_is_lattice_exact():
     # with the cap far beyond the stop box, the optimum is the lattice gap
     # rule at k = 1/(2ch): payoff 3kh - c*h^2*(3k^2 + 2k)
