@@ -297,7 +297,6 @@ def _run_chunk(
     spec: LatticeSpec,
     seed: int,
     rewards: tuple[str, ...],
-    hint: int,
 ) -> tuple[np.ndarray, ...]:
     """Rewards of trials [lo, hi) at each rule, all trials walked together.
 
@@ -305,16 +304,17 @@ def _run_chunk(
     each fires no earlier than the one before; a single rule is the common
     case.  Every trial still walking takes the same block of steps, in
     sub-batches of at most _BATCH_STEPS steps, as rows of one array.  The
-    first block is `hint` rounded up to a multiple of 16; blocks then
-    double up to _SLICE.  A block is read as 16-step chunks: the state at
-    each chunk's start is exact, continued from the state carried from the
-    row's last block, so results never depend on the block split.  The
-    rule's chunk score, taken once per sub-batch, picks each row's chunks
-    where its first rule yet to fire may fire, and only those are walked
-    step by step, in order, until it fires; the next rule is looked for
-    from that chunk.  A trial records its state at each rule's first firing
-    step and leaves when the last rule fires; rule i is censored when that
-    step exceeds guards[i].  Results have shape (hi - lo, len(rules)).
+    first block is `_block_hint` of the last rule rounded up to a multiple
+    of 16; blocks then double up to _SLICE.  A block is read as 16-step
+    chunks: the state at each chunk's start is exact, continued from the
+    state carried from the row's last block, so results never depend on the
+    block split.  The rule's chunk score, taken once per sub-batch, picks
+    each row's chunks whose score reaches the threshold of its first rule
+    yet to fire; each is expanded once, in order, and every threshold yet
+    to fire that the running max of the rule's level reaches there fires at
+    the first step it does.  A trial records its state at each rule's first
+    firing step and leaves when the last rule fires; rule i is censored
+    when that step exceeds guards[i].  Results have shape (hi - lo, len(rules)).
     """
     units = [rule_units(rule, spec) for rule in rules]
     kind, _, klo, khi = units[0]
@@ -330,7 +330,7 @@ def _run_chunk(
     pending = np.zeros(m, dtype=np.int64)  # each trial's first rule yet to fire
     live = np.arange(m)
     walked = 0
-    block = min(-(-hint // 16) * 16, _SLICE)
+    block = min(-(-_block_hint(*units[-1]) // 16) * 16, _SLICE)
     while live.size and walked < max(guards):
         batch = max(1, _BATCH_STEPS // block)
         walking = []
@@ -354,34 +354,38 @@ def _run_chunk(
                               dr[:, :-1] if need_drop else None, up, down, dd, ri)
             todo = pending[idx]
             cand = score >= ks[todo, None]
-            # Walk each row's candidate chunks in order until its rule fires.
+            # Expand each row's candidate chunks in order until its last
+            # rule fires.
             at = cand.argmax(axis=1)
             look = np.flatnonzero(cand[np.arange(idx.size), at])
             while look.size:
-                c, i = at[look], todo[look]
+                c = at[look]
                 pos, rmax, rmin, drop_run = _expand(
                     codes[look, c], x[look, c], mx[look, c], mn[look, c],
                     dr[look, c] if need_drop else None,
                 )
-                mask = row.fires(ks[i, None], klo, khi, pos, rmax, rmin, drop_run)
-                j = mask.argmax(axis=1)
-                hit = mask[np.arange(look.size), j]
-                r, jh = look[hit], j[hit]
-                t, ih = idx[r], i[hit]
-                steps[t, ih] = walked + 16 * c[hit] + jh + 1
-                ix[t, ih] = pos[hit, jh]
-                imax[t, ih] = rmax[hit, jh]
-                imin[t, ih] = rmin[hit, jh]
+                level = row.level(klo, khi, pos, rmax, rmin, drop_run)
+                top = np.maximum.accumulate(level, axis=1)
+                # Each rule yet to fire whose threshold the running max reaches
+                # fires here; now is the row's first rule left after the chunk.
+                r, i = np.nonzero((ks >= ks[todo[look], None]) & (ks <= top[:, -1:]))
+                now = np.searchsorted(ks, top[:, -1], side="right")
+                j = (top[r] >= ks[i, None]).argmax(axis=1)
+                t = idx[look[r]]
+                steps[t, i] = walked + 16 * c[r] + j + 1
+                ix[t, i] = pos[r, j]
+                imax[t, i] = rmax[r, j]
+                imin[t, i] = rmin[r, j]
                 if need_drop:
-                    idrop[t, ih] = drop_run[hit, jh]
-                todo[r] += 1
-                # A row with a rule left keeps its candidates, from this chunk
-                # on, whose score reaches that rule's (higher) threshold.
-                more = todo[look] < u
-                nxt = r[more[hit]]
-                cand[nxt] &= score[nxt] >= ks[todo[nxt], None]
-                cand[look[~hit], c[~hit]] = False
-                look = look[more]
+                    idrop[t, i] = drop_run[r, j]
+                cand[look, c] = False
+                moved = now > todo[look]
+                todo[look[moved]] = now[moved]
+                # A row whose first rule yet to fire moved keeps only the later
+                # candidates whose score reaches that rule's (higher) threshold.
+                arm = look[moved & (now < u)]
+                cand[arm] &= score[arm] >= ks[todo[arm], None]
+                look = look[todo[look] < u]
                 at[look] = cand[look].argmax(axis=1)
                 look = look[cand[look, at[look]]]
             cx[idx], cmax[idx], cmin[idx] = x[:, -1], mx[:, -1], mn[:, -1]
@@ -443,21 +447,19 @@ def collect_rewards(
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     fired, *arrays = _map_trials(
-        _run_chunk, n, workers, (rule,), (max_steps,), spec, seed, rewards,
-        _block_hint(*rule_units(rule, spec)),
+        _run_chunk, n, workers, (rule,), (max_steps,), spec, seed, rewards
     )
     values = {name: a[:, 0] for name, a in zip(rewards, arrays)}
     return CollectResult(values=values, fired=fired[:, 0])
 
 
-def stats_from_sample(sample, censored: int = 0) -> TrialStats:
+def stats_from_sample(sample) -> TrialStats:
     """Pooled moments of a sample; NaN entries count as censored trials.
 
     At least two trials must contribute: one gives no variance, so no interval.
     """
     arr = np.asarray(sample, dtype=float)
     finite = arr[~np.isnan(arr)]
-    censored_total = int(censored) + int(arr.size - finite.size)
     m = int(finite.size)
     if m < 1:
         raise ValueError("no contributing trials (all censored)")
@@ -472,7 +474,7 @@ def stats_from_sample(sample, censored: int = 0) -> TrialStats:
         variance=variance,
         ci_low=mean - half,
         ci_high=mean + half,
-        censored=censored_total,
+        censored=int(arr.size - finite.size),
     )
 
 
@@ -885,11 +887,8 @@ def sweep_payoff(
     ks = sorted(rules)
     chain = tuple(rules[k] for k in ks)
     guards = tuple(default_max_steps(rule, spec) for rule in chain)
-    # The pass walks until the largest threshold fires: size its first block
-    # for that walk.
     _, diameter, stop_time = _map_trials(
-        _run_chunk, n, workers, chain, guards, spec, seed,
-        ("diameter", "stop_time"), _block_hint(*rule_units(chain[-1], spec)),
+        _run_chunk, n, workers, chain, guards, spec, seed, ("diameter", "stop_time")
     )
     points = []
     for d, k in zip(grid, point_ks):

@@ -90,13 +90,10 @@ def _sliced(kernel, *inputs):
     """kernel(delta, gamma[, t]) over the broadcast inputs, slice by slice.
 
     A slice that fails the fast test sends the whole input to _check_domain,
-    which raises the whole-array error.  A 0-d input returns a float.
+    which raises the whole-array error.  A 0-d input is a one-element slice
+    and returns a float.
     """
     arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in inputs))
-    if arrays[0].ndim == 0:
-        if not _in_domain(*arrays):
-            _check_domain(*arrays)
-        return float(kernel(*arrays))
     it = np.nditer([*arrays, None], ["external_loop", "buffered", "zerosize_ok"],
                    [["readonly"]] * len(arrays) + [["writeonly", "allocate"]], buffersize=_SLICE)
     with it:
@@ -104,7 +101,8 @@ def _sliced(kernel, *inputs):
             if not _in_domain(*part):
                 _check_domain(*arrays)
             out[...] = kernel(*part)
-        return it.operands[-1]
+        result = it.operands[-1]
+    return float(result) if result.ndim == 0 else result
 
 
 def _premium_branches(c, d, delta, gamma):

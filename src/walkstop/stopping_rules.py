@@ -10,10 +10,10 @@ never change its output.
 Each rule's facts live in one row of the table `_RULES`: its kind name (the
 CLI's --rule value), the fields that carry its thresholds, its exact
 expected step count, the reward it is judged by and that reward's exact
-mean, its vectorised firing predicate and its chunk score, an integer per
-16-step chunk that reaches the threshold wherever the rule may fire there.
-The batched engine, the exact layer and the CLI read that row; `should_stop` stays the
-scalar reference they are tested against.
+mean, its level, the integer it fires on once it reaches the threshold,
+and its chunk score, at least the level at every step of a 16-step chunk.
+`run_until_stop`, the batched engine, the exact layer and the CLI read
+that row; `should_stop` stays the scalar reference they are tested against.
 """
 
 from __future__ import annotations
@@ -139,22 +139,22 @@ class _Rule:
     k units, or FirstExit's two, of klo and khi units.  `mean(k, klo, khi)`
     is the exact expected step count; `reward_mean(k, klo, khi)` is the exact
     mean at the stop, in lattice units, of the rule's `reward` (one of
-    `mc_harness.REWARD_NAMES`).  `fires(k, klo, khi, pos, rmax, rmin,
-    drop_run)` is the firing predicate, elementwise over lattice-unit
-    arrays of any shape, `k` included, so a walk runs along the last axis
-    of a 1-D block or of a batch of trials alike: `pos` holds positions,
-    `rmax`/`rmin` the running extremes (the origin included) and `drop_run`
-    the running drop supremum, which is read only when `reads_drop` is set.
+    `mc_harness.REWARD_NAMES`).  The rule fires at the first step where
+    `level(klo, khi, pos, rmax, rmin, drop_run)` >= k (k = 0 for FirstExit,
+    whose thresholds are in its level), elementwise over lattice-unit
+    arrays of any shape, so a walk runs along the last axis of a 1-D block
+    or of a batch of trials alike: `pos` holds positions, `rmax`/`rmin` the
+    running extremes (the origin included) and `drop_run` the running drop
+    supremum, which is read only when `reads_drop` is set.
 
     `score(klo, khi, x, mx, mn, dr, up, down, dd, ri)` is the chunk score
-    of the packed scan: the rule with threshold k can fire at a step of a
-    chunk only where score >= k (k = 0 for FirstExit, whose thresholds are
-    in its score).  `x`, `mx`, `mn` and `dr` are the position, running
-    extremes and drop supremum at the chunk's start; `up`/`down` are the
-    highest and lowest positions the chunk reaches after its start,
-    relative to it, and `dd`/`ri` its largest fall below and rise above an
-    earlier position of the chunk.  score >= k is exact for drawdown, rise,
-    diameter and exit, and a bound for gap, dropdd and absgap.
+    of the packed scan: at least the level at every step of a 16-step
+    chunk.  `x`, `mx`, `mn` and `dr` are the position, running extremes
+    and drop supremum at the chunk's start; `up`/`down` are the highest and
+    lowest positions the chunk reaches after its start, relative to it,
+    and `dd`/`ri` its largest fall below and rise above an earlier position
+    of the chunk.  The score is the chunk's largest level for drawdown,
+    rise, diameter and exit, and a bound on it for gap, dropdd and absgap.
     """
 
     cls: type
@@ -162,7 +162,7 @@ class _Rule:
     mean: Callable[[int, int, int], float]
     reward: str
     reward_mean: Callable[[int, int, int], float]
-    fires: Callable[..., np.ndarray]
+    level: Callable[..., np.ndarray]
     score: Callable[..., np.ndarray]
     reads_drop: bool = False
 
@@ -173,17 +173,17 @@ class _Rule:
 _RULES = {
     "drawdown": _Rule(
         Drawdown, ("d",), lambda k, lo, hi: k * (k + 1), "max", lambda k, lo, hi: k,
-        lambda k, lo, hi, x, mx, mn, dr: mx - x >= k,
+        lambda lo, hi, x, mx, mn, dr: mx - x,
         lambda lo, hi, x, mx, mn, dr, up, down, dd, ri: np.maximum(mx - x - down, dd),
     ),
     "rise": _Rule(
         Rise, ("d",), lambda k, lo, hi: k * (k + 1), "min_abs", lambda k, lo, hi: k,
-        lambda k, lo, hi, x, mx, mn, dr: x - mn >= k,
+        lambda lo, hi, x, mx, mn, dr: x - mn,
         lambda lo, hi, x, mx, mn, dr, up, down, dd, ri: np.maximum(x + up - mn, ri),
     ),
     "absgap": _Rule(
         AbsGap, ("d",), lambda k, lo, hi: 2 * k * k + k, "abs_sup", lambda k, lo, hi: 2 * k,
-        lambda k, lo, hi, x, mx, mn, dr: np.maximum(mx, -mn) - np.abs(x) >= k,
+        lambda lo, hi, x, mx, mn, dr: np.maximum(mx, -mn) - np.abs(x),
         # The largest |extreme| by the chunk's end, less the least |x| in it.
         lambda lo, hi, x, mx, mn, dr, up, down, dd, ri: (
             np.maximum(np.maximum(mx, x + up), -np.minimum(mn, x + down))
@@ -192,7 +192,7 @@ _RULES = {
     ),
     "gap": _Rule(
         Gap, ("d",), lambda k, lo, hi: 3 * k * k + 2 * k, "diameter", lambda k, lo, hi: 3 * k,
-        lambda k, lo, hi, x, mx, mn, dr: (mx - x >= k) & (x - mn >= k),
+        lambda lo, hi, x, mx, mn, dr: np.minimum(mx - x, x - mn),
         # Both extremes are d away somewhere in the chunk, if not at one
         # step, and the diameter reaches 2d by its end.
         lambda lo, hi, x, mx, mn, dr, up, down, dd, ri: np.minimum(
@@ -202,7 +202,7 @@ _RULES = {
     ),
     "dropdd": _Rule(
         DropDrawdown, ("d",), lambda k, lo, hi: 2 * k * k + 2 * k, "drop_sup", lambda k, lo, hi: 2 * k,
-        lambda k, lo, hi, x, mx, mn, dr: dr - (mx - x) >= k,
+        lambda lo, hi, x, mx, mn, dr: dr - (mx - x),
         # The drop supremum at the chunk's end, less the least drop in it.
         lambda lo, hi, x, mx, mn, dr, up, down, dd, ri: (
             np.maximum(np.maximum(dr, mx - x - down), dd) - np.maximum(mx - x - up, 0)
@@ -211,14 +211,14 @@ _RULES = {
     ),
     "diameter": _Rule(
         DiameterReach, ("hdiam",), lambda k, lo, hi: k * (k + 1) / 2.0, "diameter", lambda k, lo, hi: k,
-        lambda k, lo, hi, x, mx, mn, dr: mx - mn >= k,
+        lambda lo, hi, x, mx, mn, dr: mx - mn,
         lambda lo, hi, x, mx, mn, dr, up, down, dd, ri: (
             np.maximum(mx, x + up) - np.minimum(mn, x + down)
         ),
     ),
     "exit": _Rule(
         FirstExit, ("lo", "hi"), lambda k, lo, hi: -lo * hi, "terminal_x", lambda k, lo, hi: 0,
-        lambda k, lo, hi, x, mx, mn, dr: (x <= lo) | (x >= hi),
+        lambda lo, hi, x, mx, mn, dr: np.maximum(x - hi, lo - x),
         lambda lo, hi, x, mx, mn, dr, up, down, dd, ri: np.maximum(x + up - hi, lo - x - down),
     ),
 }
@@ -318,7 +318,7 @@ def run_until_stop(
                 drop_run = np.maximum.accumulate(rmax - pos)
                 if idrop:
                     np.maximum(drop_run, idrop, out=drop_run)
-            mask = row.fires(k, klo, khi, pos, rmax, rmin, drop_run)
+            mask = row.level(klo, khi, pos, rmax, rmin, drop_run) >= k
             first = int(mask.argmax())
             fired = bool(mask[first])
             end = first + 1 if fired else pos.size

@@ -7,6 +7,7 @@ numpy-only.  The check runs in a fresh interpreter, since the pytest
 process has already loaded scipy.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -102,3 +103,16 @@ def test_positivity_check_is_written_once():
             if check.search(line):
                 found.append((path.name, owner))
     assert found == [("path_engine.py", "_require_positive")]
+
+
+def test_block_hint_is_called_once_in_mc_harness():
+    """The batched engine sizes its own first block: `_run_chunk` is the one
+    caller of `_block_hint` in `mc_harness`."""
+    path = Path(walkstop.__file__).resolve().parent / "mc_harness.py"
+    callers = [
+        getattr(top, "name", "<module>")
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_block_hint"
+    ]
+    assert callers == ["_run_chunk"]

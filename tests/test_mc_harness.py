@@ -407,11 +407,12 @@ def test_sweep_matches_separate_gap_runs_on_unsorted_duplicate_grid(monkeypatch)
     assert check() == first
 
 
-def test_sweep_pass_censors_each_threshold_at_its_own_guard():
+def test_sweep_pass_censors_each_threshold_at_its_own_guard(monkeypatch):
     ks, guards = (1, 2, 3), (5, 200, 12)
     rules = tuple(Gap(float(k)) for k in ks)
+    monkeypatch.setattr(mc_harness, "_block_hint", lambda *units: 64)
     fired, diameter, stop_time = _run_chunk(
-        0, 400, rules, guards, UNIT, 41, ("diameter", "stop_time"), 64
+        0, 400, rules, guards, UNIT, 41, ("diameter", "stop_time")
     )
     assert diameter.shape == stop_time.shape == (400, 3)
     for i, (k, guard) in enumerate(zip(ks, guards)):
@@ -708,10 +709,11 @@ def _chunk_walk(codes, x, mx, mn, dr):
 
 @pytest.mark.parametrize("kind", list(_RULES))
 def test_chunk_tests_bound_the_firing_predicate(kind):
-    """At every threshold k in 1..24, score >= k is False only where the
-    rule fires at no step of the chunk, and exact where the scan relies on
-    it being exact.  FirstExit compares its score with k = 0; its upper
-    threshold runs over 1..24 instead."""
+    """The chunk score is at least the rule's level at every step of the
+    chunk, and equals the chunk's largest level where the scan relies on it
+    being exact.  So at every threshold k in 1..24, score >= k is False
+    only where the rule fires at no step of the chunk.  FirstExit compares
+    its level with k = 0; its upper threshold runs over 1..24 instead."""
     rng = np.random.default_rng(97)
     n = 40_000
     codes = rng.integers(0, 2**16, n).astype(np.uint16)
@@ -724,16 +726,16 @@ def test_chunk_tests_bound_the_firing_predicate(kind):
     row = _RULES[kind]
     mixed = 0
     for t in range(1, 25):
-        k, klo, khi, keep = t, -12, 9, slice(None)
-        if kind == "exit":  # the walk so far is inside (klo, khi)
+        k, klo, khi = t, -12, 9
+        if kind == "exit":
             k, khi = 0, t
-            keep = (mn > klo) & (mx < khi)
-        truth = row.fires(k, klo, khi, *walk).any(axis=1)[keep]
-        may = row.score(klo, khi, x, mx, mn, dr, up, down, dd, ri)[keep] >= k
-        mixed += truth.any() and not truth.all()
-        assert not (truth & ~may).any(), t
+        top = row.level(klo, khi, *walk).max(axis=1)
+        score = row.score(klo, khi, x, mx, mn, dr, up, down, dd, ri)
+        assert (score >= top).all(), t
         if kind in ("drawdown", "rise", "diameter", "exit"):
-            assert np.array_equal(may, truth), t
+            assert np.array_equal(score, top), t
+        truth = top >= k
+        mixed += truth.any() and not truth.all()
     assert mixed >= 20
 
 
@@ -780,7 +782,7 @@ def test_packed_scan_matches_reference_across_chunks_and_blocks(monkeypatch, rul
 
 def test_nested_gap_chain_passes_over_candidate_chunks_that_do_not_fire(monkeypatch):
     """Gap's chunk score is only a bound: in some candidate chunks both
-    extremes are d away, but never at one step.  Those chunks are walked
+    extremes are d away, but never at one step.  Those chunks are expanded
     and passed over, and every threshold of the chain still fires where a
     step-by-step run of it does."""
     spec = LatticeSpec(h=1.0 / 32)
@@ -791,14 +793,17 @@ def test_nested_gap_chain_passes_over_candidate_chunks_that_do_not_fire(monkeypa
     misses = []
     gap = _RULES["gap"]
 
-    def fires(*args):
-        mask = gap.fires(*args)
-        misses.append(int((~mask.any(axis=1)).sum()))
-        return mask
+    def level(*args):
+        out = gap.level(*args)
+        # An expanded chunk whose level stays below the smallest threshold
+        # fires none.
+        misses.append(int((out.max(axis=1) < ks[0]).sum()))
+        return out
 
-    monkeypatch.setitem(_RULES, "gap", dataclasses.replace(gap, fires=fires))
+    monkeypatch.setitem(_RULES, "gap", dataclasses.replace(gap, level=level))
+    monkeypatch.setattr(mc_harness, "_block_hint", lambda *units: 16)
     fired, diameter, stop_time = _run_chunk(
-        0, n, rules, guards, spec, seed, ("diameter", "stop_time"), 16
+        0, n, rules, guards, spec, seed, ("diameter", "stop_time")
     )
     assert sum(misses) > 0
     for i, (ok, values) in enumerate(reference):
@@ -812,24 +817,39 @@ def test_nested_gap_chain_passes_over_candidate_chunks_that_do_not_fire(monkeypa
 def test_chain_matches_per_threshold_runs_byte_for_byte(monkeypatch, kind):
     """A chain of close thresholds, walked once, equals a separate
     collect_rewards run at each threshold, byte for byte.  Some row fires
-    two thresholds inside one 16-step chunk, and rows of one sub-batch
-    wait on different thresholds in one candidate pass."""
+    two thresholds inside one 16-step chunk, which is expanded once, and
+    rows of one sub-batch wait on different thresholds in one candidate
+    pass."""
     spec = LatticeSpec(h=1.0 / 16)
     row = _RULES[kind]
     rules = tuple(row.cls(k * spec.h) for k in (2, 3, 4, 5, 7))
     guards = tuple(default_max_steps(rule, spec) for rule in rules)
     n, seed = 400, 53
-    waits = []
+    # Blocks of 16, 32, 64, ... steps; up to 256 steps all rows share one
+    # sub-batch.
+    monkeypatch.setattr(mc_harness, "_block_hint", lambda *units: 16)
+    fired, *values = _run_chunk(0, n, rules, guards, spec, seed, REWARD_NAMES)
+    steps = np.round(values[REWARD_NAMES.index("stop_time")] / spec.time_per_step)
+    chunk = (steps - 1) // 16
+    twice = np.flatnonzero((chunk[:, 1:] == chunk[:, :-1]).any(axis=1))
+    assert twice.size
+    pending = [(steps <= walked).sum(axis=1) for walked in (16, 48, 112, 240)]
+    assert any(np.unique(p[p < len(rules)]).size > 1 for p in pending)
+    # Walked alone, a trial that fires two thresholds in one chunk expands
+    # each of its chunks once: no chunk-start state repeats.
+    expand, seen = mc_harness._expand, []
 
-    def fires(k, *args):
-        waits.append(np.unique(k).size)
-        return row.fires(k, *args)
+    def probe(codes, x, mx, mn, dr):
+        seen.extend(zip(*(a.tolist() for a in (codes, x, mx, mn, dr))))
+        return expand(codes, x, mx, mn, dr)
 
-    monkeypatch.setitem(_RULES, kind, dataclasses.replace(row, fires=fires))
-    fired, *values = _run_chunk(0, n, rules, guards, spec, seed, REWARD_NAMES, 16)
-    assert max(waits) > 1
-    chunk = (values[REWARD_NAMES.index("stop_time")] / spec.time_per_step - 1) // 16
-    assert (chunk[:, 1:] == chunk[:, :-1]).any()
+    monkeypatch.setattr(mc_harness, "_expand", probe)
+    for t in twice[:8].tolist():
+        seen.clear()
+        alone = _run_chunk(t, t + 1, rules, guards, spec, seed, REWARD_NAMES)
+        assert seen and len(set(seen)) == len(seen), t
+        for a, b in zip(alone, (fired, *values)):
+            assert a.tobytes() == b[t : t + 1].tobytes(), t
     for i, (rule, guard) in enumerate(zip(rules, guards)):
         run = collect_rewards(rule, REWARD_NAMES, spec, n, seed, max_steps=guard)
         assert fired[:, i].tobytes() == run.fired.tobytes()
@@ -848,7 +868,9 @@ def test_blocks_capped_small_match_the_default_schedule(monkeypatch):
     n, seed = 300, 59
 
     def run():
-        walked = _run_chunk(0, n, chain, guards, spec, seed, REWARD_NAMES, 8)
+        with monkeypatch.context() as m:
+            m.setattr(mc_harness, "_block_hint", lambda *units: 8)
+            walked = _run_chunk(0, n, chain, guards, spec, seed, REWARD_NAMES)
         single = collect_rewards(drop, REWARD_NAMES, spec, n, seed)
         return walked, (single.fired, *single.values.values())
 

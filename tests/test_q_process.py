@@ -213,11 +213,13 @@ def _whole_q_gap_form(c, delta, gamma):
     )
     q_process._check_domain(delta_a, gamma_a, None)
     d = 1.0 / (2.0 * c)
+    # np.square, as `** 2` is on arrays: on 0-d input `** 2` would be the
+    # scalar power, C pow, which can differ in the last bit.
     narrow = c * (
         0.25 * (1.0 / c - delta_a) * (3.0 / c - delta_a)
-        + (delta_a / 2.0 - gamma_a) ** 2
+        + np.square(delta_a / 2.0 - gamma_a)
     )
-    wide = c * (d - gamma_a) ** 2
+    wide = c * np.square(d - gamma_a)
     out = np.where(gamma_a >= d, 0.0, np.where(delta_a < 1.0 / c, narrow, wide))
     out = out + 0.0
     return float(out) if out.ndim == 0 else out
@@ -261,7 +263,7 @@ def test_slices_match_whole_array_bit_for_bit(n, p):
 def test_slices_match_whole_array_on_scalars_and_layouts():
     p = QParams(c=1.0, d=0.4)
     delta, gamma, t = _domain_points(1.0, 0.4, 3 * SLICE + 7)
-    # 0-d inputs stay on the scalar path and return a float
+    # 0-d inputs go through the same slice loop and return a float
     for i in range(0, len(delta), 97):
         args = float(delta[i]), float(gamma[i]), float(t[i])
         _same_bits(q_value(p, *args), _whole_q_value(p, *args))
@@ -279,6 +281,15 @@ def test_slices_match_whole_array_on_scalars_and_layouts():
     _same_bits(q_value(p, delta[::3], gamma[::3], t[::3]),
                _whole_q_value(p, delta[::3], gamma[::3], t[::3]))
     _same_bits(q_gap_form(1.0, d2.T, g2.T), _whole_q_gap_form(1.0, d2.T, g2.T))
+
+
+def test_scalar_gap_form_equals_the_array_value():
+    """A scalar call squares as an array call does: at this point C pow,
+    numpy's scalar `** 2`, and np.square differ in the last bit."""
+    point = (0.9974848667047844, 0.11367418323788413)
+    inside = q_gap_form(1.0, np.array([point[0], 2.0]), np.array([point[1], 0.5]))[0]
+    _same_bits(q_gap_form(1.0, *point), float(inside))
+    assert np.float64(point[0] / 2.0 - point[1]) ** 2 != np.square(point[0] / 2.0 - point[1])
 
 
 def _message(f, *args):
