@@ -146,7 +146,9 @@ def payoff(delta, t, c):
         raise ValueError("delta must be nonnegative")
     if np.any(t_a < 0.0):
         raise ValueError("t must be nonnegative")
-    out = delta_a - c * t_a
+    # In place: a c * t temporary would be a second page-faulting mapping.
+    out = np.multiply(c, t_a, out=np.empty(t_a.shape))
+    np.subtract(delta_a, out, out=out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -4,8 +4,7 @@ Each rule is a frozen dataclass; the five with one threshold d subclass
 `_Threshold`, which declares d and its check.  `should_stop` evaluates a
 rule's predicate on a PathState.  `run_until_stop` drives a fresh path, in
 exact integer lattice units, until the predicate first holds or a step
-guard runs out; it scans each block it draws in 8192-step slices, which
-never change its output.
+guard runs out.
 
 Each rule's facts live in one row of the table `_RULES`: its kind name (the
 CLI's --rule value), the fields that carry its thresholds, its exact
@@ -253,8 +252,7 @@ def _guard(k: int, klo: int, khi: int) -> int:
     return 400 * max(k, -klo, khi) ** 2
 
 
-_FIRST_BLOCK = 2048
-_MAX_BLOCK = 32768
+# The longest block of both first-passage scans; 8192 int64 steps fit cache.
 _SLICE = 8192
 
 
@@ -277,11 +275,6 @@ def run_until_stop(
     the returned state is the first one satisfying the predicate.  When the
     step guard is exhausted instead, `fired` is False and the caller must
     treat the trial as censored rather than dropping it.
-
-    Each block of draws is scanned in place, in slices of at most `_SLICE`
-    steps that carry the path's state across: the scan's temporaries stay
-    in cache, and slices past the firing one are skipped.  Slices never
-    change the output; the draws alone fix it.
     """
     kind, k, klo, khi = rule_units(rule, spec)
     if max_steps is None:
@@ -289,48 +282,43 @@ def run_until_stop(
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
 
-    # A first block of _block_hint steps, at most _FIRST_BLOCK (an early stop
-    # wastes the rest of a long block), doubling up to _MAX_BLOCK, each draw
-    # clipped to the steps left: the steps drawn past the firing step are
-    # used up from `stream`, so this schedule is part of the output.
+    # The batched engine's schedule, without its rounding to 16: the steps
+    # drawn past the firing step are used up from `stream`, so the schedule
+    # is part of the output.
     row = _RULES[kind]
     steps = ix = imax = imin = idrop = irise = 0
     fired = False
-    block = min(_block_hint(kind, k, klo, khi), _FIRST_BLOCK, max_steps)
+    block = min(_block_hint(kind, k, klo, khi), _SLICE)
     while not fired and steps < max_steps:
-        draws = stream.integers(0, 2, size=min(block, max_steps - steps), dtype=np.int64)
-        block = min(2 * block, _MAX_BLOCK)
-        for start in range(0, draws.size, _SLICE):
-            pos = draws[start : start + _SLICE]
-            pos *= 2
-            pos -= 1
-            pos[0] += ix
-            np.add.accumulate(pos, out=pos)
-            # The carried extremes include the origin, visited before step 1.
-            rmax = np.maximum.accumulate(pos)
-            np.maximum(rmax, imax, out=rmax)
-            rmin = np.minimum.accumulate(pos)
-            np.minimum(rmin, imin, out=rmin)
-            # Only a rule that reads the running drop supremum accumulates it;
-            # for the others the supremum at the stop is one reduction.
-            drop_run = None
-            if row.reads_drop:
-                drop_run = np.maximum.accumulate(rmax - pos)
-                if idrop:
-                    np.maximum(drop_run, idrop, out=drop_run)
-            mask = row.level(klo, khi, pos, rmax, rmin, drop_run) >= k
-            first = int(mask.argmax())
-            fired = bool(mask[first])
-            end = first + 1 if fired else pos.size
-            irise = max(irise, int((pos[:end] - rmin[:end]).max()))
-            if drop_run is None:
-                idrop = max(idrop, int((rmax[:end] - pos[:end]).max()))
-            else:
-                idrop = int(drop_run[end - 1])
-            steps += end
-            ix, imax, imin = (int(a[end - 1]) for a in (pos, rmax, rmin))
-            if fired:
-                break
+        pos = stream.integers(0, 2, size=min(block, max_steps - steps), dtype=np.int64)
+        block = min(2 * block, _SLICE)
+        pos *= 2
+        pos -= 1
+        pos[0] += ix
+        np.add.accumulate(pos, out=pos)
+        # The carried extremes include the origin, visited before step 1.
+        rmax = np.maximum.accumulate(pos)
+        np.maximum(rmax, imax, out=rmax)
+        rmin = np.minimum.accumulate(pos)
+        np.minimum(rmin, imin, out=rmin)
+        # Only a rule that reads the running drop supremum accumulates it;
+        # for the others the supremum at the stop is one reduction.
+        drop_run = None
+        if row.reads_drop:
+            drop_run = np.maximum.accumulate(rmax - pos)
+            if idrop:
+                np.maximum(drop_run, idrop, out=drop_run)
+        mask = row.level(klo, khi, pos, rmax, rmin, drop_run) >= k
+        first = int(mask.argmax())
+        fired = bool(mask[first])
+        end = first + 1 if fired else pos.size
+        irise = max(irise, int((pos[:end] - rmin[:end]).max()))
+        if drop_run is None:
+            idrop = max(idrop, int((rmax[:end] - pos[:end]).max()))
+        else:
+            idrop = int(drop_run[end - 1])
+        steps += end
+        ix, imax, imin = (int(a[end - 1]) for a in (pos, rmax, rmin))
 
     h = spec.h
     state = PathState(

@@ -106,13 +106,15 @@ def test_positivity_check_is_written_once():
 
 
 def test_block_hint_is_called_once_in_mc_harness():
-    """The batched engine sizes its own first block: `_run_chunk` is the one
-    caller of `_block_hint` in `mc_harness`."""
-    path = Path(walkstop.__file__).resolve().parent / "mc_harness.py"
-    callers = [
-        getattr(top, "name", "<module>")
-        for top in ast.parse(path.read_text()).body
-        for node in ast.walk(top)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_block_hint"
-    ]
-    assert callers == ["_run_chunk"]
+    """Both first-passage scans size their first block from `_block_hint`:
+    across the package its callers are exactly `_run_chunk`, the batched
+    engine, and `run_until_stop`, and no other block constant is left."""
+    callers, names = [], set()
+    for path in sorted(Path(walkstop.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                names.add(getattr(node, "id", None))
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_block_hint":
+                    callers.append(getattr(top, "name", "<module>"))
+    assert sorted(callers) == ["_run_chunk", "run_until_stop"]
+    assert not names & {"_FIRST_BLOCK", "_MAX_BLOCK"}

@@ -510,16 +510,17 @@ def _reference_rewards(rule, spec, n, seed, max_steps):
     return fired, values
 
 
-def _check_small_slices(monkeypatch, rule, spec, seed, max_steps, fired, values):
-    """run_until_stop scanning in slices of 1, 5 and 16 steps gives the
+def _check_small_blocks(monkeypatch, rule, spec, seed, max_steps, fired, values):
+    """run_until_stop drawing blocks of 1, 5 and 16 steps gives the
     per-trial reference `fired`, `values`, already matched to the engine.
 
-    Only the first tenth of the trials is rerun, since a one-step slice
-    costs one scan per step.  Some paths fire at a slice's first step and
-    some at its last; censored paths end in a slice the guard cuts short.
+    With `_SLICE` set to `size`, every block is `size` steps (each hint is
+    at least 64), so blocks start at multiples of `size`.  Only the first
+    tenth of the trials is rerun, since a one-step block costs one scan
+    per step.  Some paths fire at a block's first step and some at its
+    last; censored paths end in a block the guard cuts short.
     """
     m = fired.size // 10
-    first_block = min(stopping_rules._block_hint(*rule_units(rule, spec)), max_steps)
     at_first = at_last = False
     for size in (1, 5, 16):
         monkeypatch.setattr(stopping_rules, "_SLICE", size)
@@ -527,9 +528,8 @@ def _check_small_slices(monkeypatch, rule, spec, seed, max_steps, fired, values)
         assert sub_fired.tobytes() == fired[:m].tobytes(), size
         for name in REWARD_NAMES:
             assert sub_values[name].tobytes() == values[name][:m].tobytes(), (size, name)
-        # In the first block, slices start at multiples of `size`.
         steps = np.round(sub_values["stop_time"] / spec.time_per_step)
-        at = (steps[steps <= first_block] - 1) % size
+        at = (steps[sub_fired] - 1) % size
         at_first |= size > 1 and bool((at == 0).any())
         at_last |= size > 1 and bool((at == size - 1).any())
     assert at_first and at_last
@@ -574,7 +574,7 @@ def test_batched_engine_matches_per_trial_reference(monkeypatch, rule, max_steps
     assert (values["stop_time"] > 56 * spec.time_per_step).sum() > 10
     for workers in (1, 2):
         check(collect_rewards(rule, REWARD_NAMES, spec, n, seed, workers, max_steps))
-    _check_small_slices(monkeypatch, rule, spec, seed, max_steps, fired, values)
+    _check_small_blocks(monkeypatch, rule, spec, seed, max_steps, fired, values)
 
 
 def _reference_signs(seed, trial, n_steps):
@@ -777,7 +777,7 @@ def test_packed_scan_matches_reference_across_chunks_and_blocks(monkeypatch, rul
     monkeypatch.setattr(mc_harness, "_BATCH_STEPS", 2**9)
     assert (values["stop_time"] > 240 * spec.time_per_step).sum() > 10
     check()
-    _check_small_slices(monkeypatch, rule, spec, seed, max_steps, fired, values)
+    _check_small_blocks(monkeypatch, rule, spec, seed, max_steps, fired, values)
 
 
 def test_nested_gap_chain_passes_over_candidate_chunks_that_do_not_fire(monkeypatch):

@@ -225,6 +225,13 @@ def _whole_q_gap_form(c, delta, gamma):
     return float(out) if out.ndim == 0 else out
 
 
+def _whole_payoff(delta, t, c):
+    """Reference: payoff as one whole-array expression with its temporary."""
+    delta_a, t_a = np.broadcast_arrays(np.asarray(delta, dtype=float), np.asarray(t, dtype=float))
+    out = delta_a - c * t_a
+    return float(out) if out.ndim == 0 else out
+
+
 def _domain_points(c, d, n, seed=3):
     """n points spread over both sides of the delta = 2d and gamma = d seams,
     with the seams and the gamma = delta/2 edge themselves mixed in."""
@@ -258,6 +265,7 @@ def test_slices_match_whole_array_bit_for_bit(n, p):
     delta, gamma, t = _domain_points(p.c, p.d, n)
     _same_bits(q_value(p, delta, gamma, t), _whole_q_value(p, delta, gamma, t))
     _same_bits(q_gap_form(p.c, delta, gamma), _whole_q_gap_form(p.c, delta, gamma))
+    _same_bits(payoff(delta, t, p.c), _whole_payoff(delta, t, p.c))
 
 
 def test_slices_match_whole_array_on_scalars_and_layouts():
@@ -268,6 +276,7 @@ def test_slices_match_whole_array_on_scalars_and_layouts():
         args = float(delta[i]), float(gamma[i]), float(t[i])
         _same_bits(q_value(p, *args), _whole_q_value(p, *args))
         _same_bits(q_gap_form(1.0, *args[:2]), _whole_q_gap_form(1.0, *args[:2]))
+        _same_bits(payoff(args[0], args[2], 1.0), _whole_payoff(args[0], args[2], 1.0))
     _same_bits(q_value(p, np.float64(1.0), np.array(0.2), 0.5), _whole_q_value(p, 1.0, 0.2, 0.5))
     # (3, 1) x (1, 5) broadcasting
     db, gb = np.array([[0.8], [1.0], [2.0]]), np.array([[0.0, 0.1, 0.2, 0.3, 0.4]])

@@ -27,7 +27,7 @@ from walkstop import (
     run_until_stop,
     should_stop,
 )
-from walkstop.stopping_rules import default_max_steps, rule_units
+from walkstop.stopping_rules import _SLICE, _block_hint, default_max_steps, rule_units
 
 UNIT = LatticeSpec(h=1.0)
 
@@ -189,15 +189,14 @@ def test_random_words_all_rules(word, rule_unit, h):
 
 
 def test_words_longer_than_one_slice():
-    """run_until_stop scans each block in 8192-step slices.  Drawdown(100)
-    and Rise(100) draw blocks of 2048, 4096, 8192, 16384 and 32768 steps, so
-    slices start after steps 14336, 22528, 30720 and 38912: these words fire
-    at the last and the first step of a slice in the two longest blocks.  On
-    a random word, rules fire in later slices or run out inside one."""
-    tail = "UD" * 50  # the guard lies in the next slice
-    for stop in (22528, 22529):
+    """Drawdown(100) and Rise(100) draw blocks of _SLICE = 8192 steps, so
+    blocks start after steps 8192, 16384 and 24576: these words fire at the
+    last and the first step of a block.  On a random word, rules fire in
+    later blocks or run out inside one."""
+    tail = "UD" * 50  # the guard lies in the next block
+    for stop in (16384, 16385):
         assert_kernel_matches_reference(Drawdown(100.0), "U" * (stop - 100) + "D" * 100 + tail, UNIT)
-    for stop in (38912, 38913):
+    for stop in (24576, 24577):
         assert_kernel_matches_reference(Rise(100.0), "D" * (stop - 100) + "U" * 100 + tail, UNIT)
     word = "".join(np.random.default_rng(8192).choice(["U", "D"], size=3 * 8192 + 7))
     late = censored = 0
@@ -211,12 +210,46 @@ def test_words_longer_than_one_slice():
     assert late > 0 and censored > 0
 
 
+class RecordingStream(ScriptStream):
+    """A ScriptStream that logs the size of each draw."""
+
+    def __init__(self, word: str):
+        super().__init__(word)
+        self.sizes = []
+
+    def integers(self, low, high, size, dtype=np.int64):
+        self.sizes.append(size)
+        return super().integers(low, high, size, dtype)
+
+
+def test_draw_schedule_is_the_batched_engines():
+    """run_until_stop draws a first block of _block_hint steps, at most
+    _SLICE, then doubles up to _SLICE, each draw clipped to the steps left.
+    Gap(2)'s hint is 64.  Drawdown(40)'s is 2058, not rounded to 16."""
+    assert _block_hint(*rule_units(Drawdown(40.0), UNIT)) == 2058
+    cases = [
+        # Gap(2) fires at step 304, in its third block.
+        (Gap(2.0), "UD" * 148 + "DDUUUUDD" + "UD" * 100, None, 304, [64, 128, 256]),
+        # Drawdown(40) fires at step 15000, in its fourth block.
+        (Drawdown(40.0), "U" * 14960 + "D" * 8000, None, 15000, [2058, 4116, 8192, 8192]),
+        # A guard of 10000 steps clips the third block.
+        (Drawdown(40.0), "U" * 10000, 10_000, 10_000, [2058, 4116, 3826]),
+    ]
+    for rule, word, guard, steps, sizes in cases:
+        stream = RecordingStream(word)
+        out = run_until_stop(rule, UNIT, stream, guard)
+        assert (out.fired, out.final_state.steps) == (guard is None, steps), rule
+        assert stream.sizes == sizes, rule
+
+
 def test_shared_generator_draw_schedule_is_pinned():
     """Paths drawn one after another from one generator: each path uses up
     its last block of draws whole, so the block schedule decides every
-    later path.  These paths reach blocks of 8192, 16384 and 32768 steps,
-    and a guard of 20000 steps clips one.  A schedule change fails here;
-    it is a stream change, to be made on purpose and recorded."""
+    later path.  Some path spans at least four full _SLICE blocks, and a
+    guard of 20000 steps clips one.  A schedule change fails here; it is a
+    stream change, to be made on purpose and recorded.  A path drawn from
+    a fresh generator never depends on the schedule: its hash is the one
+    recorded before the schedule last changed."""
     h = 1.0 / 32
     cases = [
         (Gap(64 * h), None), (Gap(64 * h), 20_000), (DropDrawdown(80 * h), None),
@@ -225,11 +258,17 @@ def test_shared_generator_draw_schedule_is_pinned():
     ]
     spec, gen = LatticeSpec(h=h), np.random.default_rng(20081)
     paths = [run_until_stop(rule, spec, gen, guard) for rule, guard in cases for _ in range(40)]
-    assert max(p.final_state.steps for p in paths) > 2048 + 4096 + 8192 + 16384
-    assert not all(p.fired for p in paths)
+    assert max(p.final_state.steps for p in paths) > 4 * _SLICE
+    assert any(not p.fired and p.final_state.steps == 20_000 for p in paths)
     blob = repr([(p.fired, p.stop_time, p.terminal_x, dataclasses.astuple(p.final_state)) for p in paths])
     assert hashlib.sha256(blob.encode()).hexdigest() == (
-        "cb18defd4c2cad63d3eee30913bc98991252e9f0620bd25f31bbded213902e51"
+        "310a2314adcb4ff0bea134df28645d27b6613fb4ae4f0406f5bfcae783da5060"
+    )
+    fresh = run_until_stop(Drawdown(110 * h), spec, np.random.default_rng(15))
+    assert fresh.final_state.steps == 41552  # five blocks of the earlier schedule
+    blob = repr((fresh.fired, dataclasses.astuple(fresh.final_state)))
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "c82eaec4f1b71df3736cbe9ef5ce18e0d01b2c68dfad8eb11844c08358bb6758"
     )
 
 
