@@ -63,15 +63,22 @@ def exit_stats(lo: float, hi: float, x: float) -> ExitStats:
     )
 
 
+def _unit_hdiam(hdiam: float) -> int:
+    """hdiam as an int; ValueError unless it is a positive finite integer."""
+    _require_positive(hdiam, "hdiam")  # nan and inf never reach int()
+    k = int(hdiam)
+    if k != hdiam:
+        raise ValueError(f"hdiam must be a positive integer, got {hdiam}")
+    return k
+
+
 def walk_diameter_pmf(hdiam: int) -> dict[int, float]:
     """Termination pmf of the unit walk stopped at first diameter hdiam.
 
     Mass |x| / (hdiam*(hdiam+1)) at each x in [-hdiam, hdiam] except 0;
     positions are relative to the start.
     """
-    k = int(hdiam)
-    if k != hdiam or k < 1:
-        raise ValueError(f"hdiam must be a positive integer, got {hdiam}")
+    k = _unit_hdiam(hdiam)
     denom = k * (k + 1)
     return {x: abs(x) / denom for x in range(-k, k + 1) if x != 0}
 
@@ -85,8 +92,8 @@ def absorption_pmf_oracle(hdiam: int) -> dict[int, float]:
     carried over (edge, distance of the min below the start) from layer to
     layer up to diameter hdiam, where each exit is a terminal position.
     """
-    k = int(hdiam)
-    if k != hdiam or not (1 <= k <= 12):
+    k = _unit_hdiam(hdiam)
+    if k > 12:
         raise ValueError(f"hdiam must be an integer in [1, 12], got {hdiam}")
 
     mass = np.zeros((2, k))  # rows: entered at the min, at the max

@@ -26,7 +26,7 @@ from math import ceil, isfinite, sqrt
 
 import numpy as np
 
-from .exact_walk import walk_diameter_pmf
+from .exact_walk import _unit_hdiam, walk_diameter_pmf
 from .path_engine import LatticeError, LatticeSpec, _require_positive
 from .q_process import QParams, q_value
 from .stopping_rules import (
@@ -570,8 +570,7 @@ class VShape:
     hdiam: int
 
     def __post_init__(self) -> None:
-        if self.hdiam < 1:
-            raise ValueError(f"hdiam must be a positive integer, got {self.hdiam}")
+        _unit_hdiam(self.hdiam)
 
 
 @dataclass(frozen=True)
@@ -602,9 +601,12 @@ def gof_test(sample, target) -> GofResult:
 
     One-sample Kolmogorov-Smirnov for the continuous targets, two-sample KS
     for Empirical, chi-square on counts for the discrete VShape; p-values
-    use the standard asymptotics in every case.  scipy.stats is imported
-    here, after the inputs are checked, so nothing else in walkstop pays
-    for loading it.
+    use the standard asymptotics in every case.  scipy is imported here,
+    after the inputs are checked, so nothing else in walkstop pays for
+    loading it.  The KS tests load scipy.stats.  The VShape test loads only
+    scipy.special: it forms Pearson's statistic as scipy.stats.chisquare
+    does and takes the p-value from the same kernel, chdtrc, so the two
+    agree bit for bit.
     """
     arr = _finite_sample(sample, "sample")
     if np.ptp(arr) == 0.0:
@@ -621,7 +623,11 @@ def gof_test(sample, target) -> GofResult:
                 f"sample values outside the support [-{target.hdiam}, {target.hdiam}]"
             )
         expected = arr.size * np.array([pmf[int(x)] for x in support])
-    elif isinstance(target, Empirical):
+        from scipy.special import chdtrc
+
+        stat = np.sum((counts - expected) ** 2 / expected)
+        return GofResult(float(stat), float(chdtrc(counts.size - 1.0, stat)), "chisquare_vshape")
+    if isinstance(target, Empirical):
         ref = _finite_sample(target.values, "reference sample")
     elif not isinstance(target, (Exponential, Uniform)):
         raise TypeError(f"unknown target {target!r}")
@@ -634,9 +640,6 @@ def gof_test(sample, target) -> GofResult:
     if isinstance(target, Uniform):
         stat, p = sps.kstest(arr, "uniform", args=(0.0, target.hi), method="asymp")
         return GofResult(float(stat), float(p), "ks_uniform")
-    if isinstance(target, VShape):
-        stat, p = sps.chisquare(counts, expected)
-        return GofResult(float(stat), float(p), "chisquare_vshape")
     stat, p = sps.ks_2samp(arr, ref, method="asymp")
     return GofResult(float(stat), float(p), "ks_two_sample")
 

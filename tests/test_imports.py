@@ -1,10 +1,11 @@
-"""Import cost: scipy.stats loads only when a goodness-of-fit test runs.
+"""Import cost: scipy loads only when a goodness-of-fit test runs.
 
 scipy.stats takes most of a second to import, several times numpy's cost,
-and only `gof_test` (the `walkstop dist` battery) needs it.  The other
-commands load no scipy module at all, so the dynamic program stays
-numpy-only.  The check runs in a fresh interpreter, since the pytest
-process has already loaded scipy.
+and only `gof_test`'s KS tests (the `walkstop dist` battery) need it.  The
+VShape chi-square test loads scipy.special alone, about a third of that.
+The other commands load no scipy module at all, so the dynamic program
+stays numpy-only; neither does a rejected input.  The check runs in a
+fresh interpreter, since the pytest process has already loaded scipy.
 """
 
 import ast
@@ -44,6 +45,19 @@ except ValueError:
 else:
     raise AssertionError("a NaN reference sample was accepted")
 assert "scipy.stats" not in sys.modules, "rejected input loaded scipy.stats"
+
+try:
+    walkstop.gof_test(np.array([0.5, 1.5, -1.0] * 50), walkstop.VShape(hdiam=2))
+except ValueError:
+    pass
+else:
+    raise AssertionError("an off-lattice VShape sample was accepted")
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, f"a rejected VShape input loaded {loaded[:3]}"
+
+walkstop.gof_test(np.array([-2.0, -1.0, 1.0, 2.0] * 50), walkstop.VShape(hdiam=2))
+assert "scipy.special" in sys.modules, "the VShape test ran without scipy.special"
+assert "scipy.stats" not in sys.modules, "the VShape test loaded scipy.stats"
 
 walkstop.gof_test(np.arange(1.0, 50.0), walkstop.Exponential(mean=25.0))
 assert "scipy.stats" in sys.modules, "gof_test ran without scipy.stats"

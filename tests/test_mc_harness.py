@@ -23,6 +23,7 @@ from walkstop import (
     Uniform,
     VShape,
     Z99,
+    absorption_pmf_oracle,
     collect_rewards,
     drift_check,
     estimate,
@@ -35,6 +36,7 @@ from walkstop import (
     ratio_report_from,
     stats_from_sample,
     sweep_payoff,
+    walk_diameter_pmf,
 )
 from walkstop import mc_harness, stopping_rules
 from walkstop.mc_harness import (
@@ -305,6 +307,36 @@ def test_gof_target_validation():
         Uniform(hi=np.inf)
     with pytest.raises(ValueError):
         VShape(hdiam=0)
+
+
+@pytest.mark.parametrize("hdiam", [2.5, math.nan, math.inf, 0, -1])
+@pytest.mark.parametrize("make", [VShape, walk_diameter_pmf, absorption_pmf_oracle])
+def test_hdiam_must_be_a_positive_finite_integer(make, hdiam):
+    with pytest.raises(ValueError, match="hdiam must be"):
+        make(hdiam)
+
+
+def test_gof_vshape_is_scipy_chisquare_bit_for_bit():
+    """The VShape test's own statistic and chdtrc p-value equal
+    scipy.stats.chisquare's exactly, on true and skewed samples, from p
+    below 1e-12 to near 1."""
+    rng = np.random.default_rng(2027)
+    p_values = []
+    for k in range(1, 13):
+        pmf = walk_diameter_pmf(k)
+        support = np.array(sorted(pmf), dtype=float)
+        probs = np.array([pmf[int(x)] for x in support])
+        skewed = probs * np.linspace(0.5, 1.5, support.size)
+        for size in (10, 1000, 200_000):
+            for draw in (probs, skewed / skewed.sum()):
+                x = rng.choice(support, size=size, p=draw)
+                counts = np.array([(x == s).sum() for s in support], dtype=float)
+                ref = scipy.stats.chisquare(counts, size * probs)
+                got = gof_test(x, VShape(hdiam=k))
+                assert got.statistic == float(ref.statistic), (k, size)
+                assert got.p_value == float(ref.pvalue), (k, size)
+                p_values.append(got.p_value)
+    assert min(p_values) < 1e-12 and max(p_values) > 0.95
 
 
 # --- fixed-time ensembles and the drift probe ---------------------------------------
