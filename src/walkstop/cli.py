@@ -163,10 +163,10 @@ def _flat_rows(results: dict, prefix: str = "") -> list[tuple[str, object]]:
 
 
 # --- command handlers ------------------------------------------------------
-# Each returns (params, results, censored, table, failures): table is the
-# (header, rows) pair used for CSV output and failures lists the documented
-# checks that failed; main adds the censored-trials failure and reports them
-# under --assert.
+# Each returns (params, results, censored, table, checks): table is the
+# (header, rows) pair used for CSV output and checks lists every documented
+# check as an (ok, message) pair; main adds the censored-trials check and,
+# under --assert, reports the messages whose ok is false.
 
 
 def _cmd_simulate(args):
@@ -209,7 +209,7 @@ def _cmd_bounds(args):
     spec = LatticeSpec(h=h)
     results = {}
     censored = 0
-    failures = []
+    checks = []
     for key, (kind, lo, hi) in _BOUNDS_WINDOWS.items():
         row = _RULES[kind]
         rule = row.cls(args.d)
@@ -223,13 +223,11 @@ def _cmd_bounds(args):
         # accept if inside the published window (calibrated for desk-scale
         # runs) or within 3 standard errors of the lattice value, so the
         # check stays honest at small --trials and on coarse lattices
-        in_window = lo <= rep.ratio <= hi
-        near_lattice = abs(rep.ratio - lattice) <= 3.0 * se
-        if not in_window and not near_lattice:
-            failures.append(
-                f"{key} = {rep.ratio:.4f} outside [{lo}, {hi}] and more than "
-                f"3 standard errors from the lattice value {lattice:.4f}"
-            )
+        checks.append((
+            lo <= rep.ratio <= hi or abs(rep.ratio - lattice) <= 3.0 * se,
+            f"{key} = {rep.ratio:.4f} outside [{lo}, {hi}] and more than "
+            f"3 standard errors from the lattice value {lattice:.4f}",
+        ))
     params = {"d": args.d, "h": h, "trials": args.trials}
     table = (
         ("rule", "ratio", "ci_low", "ci_high", "reward_mean", "terminal_second_moment"),
@@ -238,7 +236,7 @@ def _cmd_bounds(args):
             for k, v in results.items()
         ],
     )
-    return params, results, censored, table, failures
+    return params, results, censored, table, checks
 
 
 def _cmd_dist(args):
@@ -285,12 +283,11 @@ def _cmd_dist(args):
     else:
         xs, counts = np.unique(chi_sample.astype(int), return_counts=True)
         table = (("x", "count"), list(zip(xs.tolist(), counts.tolist())))
-    failures = [
-        f"{name} p_value = {res['p_value']:.5f} <= 0.01"
+    checks = [
+        (res["p_value"] > 0.01, f"{name} p_value = {res['p_value']:.5f} <= 0.01")
         for name, res in results.items()
-        if not res["p_value"] > 0.01
     ]
-    return params, results, censored, table, failures
+    return params, results, censored, table, checks
 
 
 def _cmd_qcheck(args):
@@ -349,18 +346,16 @@ def _cmd_qcheck(args):
     }
     params = {"c": c, "grid": args.grid, "points": n_points}
     table = (("key", "value"), _flat_rows(results))
-    failures = []
-    if not (results["min_gap_form"]["value"] >= 0.0):
-        failures.append(f"min(Q - payoff) = {results['min_gap_form']['value']} < 0")
-    for key in ("identity_residual", "continuity_residual_delta_seam",
-                "continuity_residual_gamma_seam", "origin_payoff_residual"):
-        if not (results[key] < 1e-12):
-            failures.append(f"{key} = {results[key]:.3e} >= 1e-12")
-    if zero_on_stopped != 0.0:
-        failures.append(f"gap form nonzero ({zero_on_stopped:.3e}) on the stopped set gamma >= {d}")
-    if not (min_active > 0.0):
-        failures.append(f"gap form not strictly positive off the stopped set (min {min_active:.3e})")
-    return params, results, 0, table, failures
+    min_value = results["min_gap_form"]["value"]
+    residuals = ("identity_residual", "continuity_residual_delta_seam",
+                 "continuity_residual_gamma_seam", "origin_payoff_residual")
+    checks = [
+        (min_value >= 0.0, f"min(Q - payoff) = {min_value} < 0"),
+        *((results[key] < 1e-12, f"{key} = {results[key]:.3e} >= 1e-12") for key in residuals),
+        (zero_on_stopped == 0.0, f"gap form nonzero ({zero_on_stopped:.3e}) on the stopped set gamma >= {d}"),
+        (min_active > 0.0, f"gap form not strictly positive off the stopped set (min {min_active:.3e})"),
+    ]
+    return params, results, 0, table, checks
 
 
 def _cmd_dp(args):
@@ -371,9 +366,10 @@ def _cmd_dp(args):
     cap = args.cap if args.cap is not None else int(math.ceil(5.0 / (c * h)))
     spec = WalkDP(c=c, h=h, cap=cap, tol=args.tol)
     sol = dp_solve(spec)
-    boundary = [[a, int(b_min)] for a, b_min in enumerate(sol.stop_boundary)]
+    b_min = sol.stop_boundary
+    boundary = [[a, int(b)] for a, b in enumerate(b_min)]
     target_value = 3.0 / (4.0 * c)
-    target_units = round((1.0 / (2.0 * c)) / h)
+    k = round((1.0 / (2.0 * c)) / h)
     results = {
         "value_origin": sol.value_origin,
         "iterations": sol.iterations,
@@ -381,31 +377,21 @@ def _cmd_dp(args):
     }
     params = {"c": c, "h": h, "cap": cap, "tol": args.tol}
     table = (("a", "b_min"), [tuple(r) for r in boundary])
-    failures = []
-    if abs(sol.value_origin - target_value) > 0.05 * target_value:
-        failures.append(
-            f"value_origin {sol.value_origin:.5f} more than 5% from {target_value:.5f}"
-        )
     # The forced stop at the cap depresses continuation values nearby, so the
     # computed region stops early in a band hugging the cap corner.  The box
     # law is only claimed in the bulk, a safe margin away from that band.
-    bulk = cap - 4 * target_units
-    for a, b_min in boundary:
-        if a > bulk:
-            continue
-        if a >= target_units:
-            if abs(b_min - target_units) > 1:
-                failures.append(
-                    f"stop boundary at a={a} is b={b_min}, more than one cell from {target_units}"
-                )
-                break
-        elif a <= target_units - 2:
-            if b_min <= bulk:
-                failures.append(
-                    f"interior stop state at a={a} (b={b_min}) below the threshold band"
-                )
-                break
-    return params, results, 0, table, failures
+    bulk = cap - 4 * k
+    a = np.arange(b_min.size)
+    bad = (a <= bulk) & np.where(a >= k, np.abs(b_min - k) > 1, (a <= k - 2) & (b_min <= bulk))
+    i = int(np.argmax(bad))  # the first bad row, else row 0
+    checks = [
+        (not (abs(sol.value_origin - target_value) > 0.05 * target_value),
+         f"value_origin {sol.value_origin:.5f} more than 5% from {target_value:.5f}"),
+        (not bad.any(),
+         f"stop boundary at a={i} is b={b_min[i]}, more than one cell from {k}" if i >= k
+         else f"interior stop state at a={i} (b={b_min[i]}) below the threshold band"),
+    ]
+    return params, results, 0, table, checks
 
 
 def _cmd_sweep(args):
@@ -438,27 +424,24 @@ def _cmd_sweep(args):
         ("d", "mean", "ci_low", "ci_high"),
         [(p["d"], p["mean"], p["ci_low"], p["ci_high"]) for p in curve],
     )
-    failures = []
     d_star = 1.0 / (2.0 * c)
     cell = max(
         (abs(b - a) for a, b in zip(sorted(grid), sorted(grid)[1:])), default=0.0
     )
-    if abs(result.argmax_d - d_star) > cell + 1e-12:
-        failures.append(
-            f"argmax_d = {result.argmax_d} more than one grid cell from {d_star}"
-        )
+    checks = [(not (abs(result.argmax_d - d_star) > cell + 1e-12),
+               f"argmax_d = {result.argmax_d} more than one grid cell from {d_star}")]
     gap = _RULES["gap"]
     for p in curve:
         # Lattice-exact payoff 3kh - c(3k^2+2k)h^2, k = d/h; the continuum
         # value 3d - 3cd^2 sits 2cdh above it.
         k = spec.units(p["d"], "d")
         exact = gap.reward_mean(k, 0, 0) * h - c * gap.mean(k, 0, 0) * spec.time_per_step
-        if not (p["ci_low"] <= exact <= p["ci_high"]):
-            failures.append(
-                f"payoff curve at d={p['d']}: CI [{p['ci_low']:.4f}, {p['ci_high']:.4f}] "
-                f"misses lattice payoff {exact:.4f}"
-            )
-    return params, results, censored, table, failures
+        checks.append((
+            p["ci_low"] <= exact <= p["ci_high"],
+            f"payoff curve at d={p['d']}: CI [{p['ci_low']:.4f}, {p['ci_high']:.4f}] "
+            f"misses lattice payoff {exact:.4f}",
+        ))
+    return params, results, censored, table, checks
 
 
 def _cmd_closed_forms(args):
@@ -469,22 +452,20 @@ def _cmd_closed_forms(args):
     results["delta_increment_0_2d"] = table_cf["delta_increment"](0.0, 2.0 * d)
     params = {"c": c, "d": d}
     table = (("key", "value"), sorted(results.items()))
-    failures = []
     chain = results["delta_increment_0_2d"] + results["E_tau_d"]
-    if not math.isclose(chain, results["E_T_gap"], rel_tol=1e-12):
-        failures.append(
-            f"decomposition {results['delta_increment_0_2d']} + {results['E_tau_d']} "
-            f"!= {results['E_T_gap']}"
-        )
-    # The terms cancel near d = 1/c, so the slack scales with E_D_at_T_gap.
-    if not math.isclose(
-        results["payoff_gap"],
-        results["E_D_at_T_gap"] - c * results["E_T_gap"],
-        rel_tol=1e-12,
-        abs_tol=1e-12 * results["E_D_at_T_gap"],
-    ):
-        failures.append("payoff_gap does not match E_D_at_T_gap - c * E_T_gap")
-    return params, results, 0, table, failures
+    checks = [
+        (math.isclose(chain, results["E_T_gap"], rel_tol=1e-12),
+         f"decomposition {results['delta_increment_0_2d']} + {results['E_tau_d']} "
+         f"!= {results['E_T_gap']}"),
+        # The terms cancel near d = 1/c, so the slack scales with E_D_at_T_gap.
+        (math.isclose(
+            results["payoff_gap"],
+            results["E_D_at_T_gap"] - c * results["E_T_gap"],
+            rel_tol=1e-12,
+            abs_tol=1e-12 * results["E_D_at_T_gap"],
+        ), "payoff_gap does not match E_D_at_T_gap - c * E_T_gap"),
+    ]
+    return params, results, 0, table, checks
 
 
 _HANDLERS = {
@@ -542,7 +523,7 @@ def main(argv=None) -> int:
             raise ValueError(f"seed must lie in [0, 2**64), got {args.seed}")
         if getattr(args, "workers", 1) < 1:
             raise ValueError(f"--workers must be >= 1, got {args.workers}")
-        params, results, censored, table, failures = _HANDLERS[args.command](args)
+        params, results, censored, table, checks = _HANDLERS[args.command](args)
     except LatticeError as exc:
         sys.stderr.write(f"{_PROG}: lattice mismatch: {exc}\n")
         return 1
@@ -567,13 +548,12 @@ def main(argv=None) -> int:
     _emit(text, args.out)
     if censored:
         sys.stderr.write(f"{_PROG}: warning: {censored} censored trials excluded\n")
-        failures.append(f"censored trials: {censored} (expected 0)")
+    checks.append((not censored, f"censored trials: {censored} (expected 0)"))
 
-    if args.run_checks and failures:
-        for failure in failures:
-            sys.stderr.write(f"{_PROG}: check failed: {failure}\n")
-        return 2
-    return 0
+    failures = [message for ok, message in checks if not ok] if args.run_checks else []
+    for failure in failures:
+        sys.stderr.write(f"{_PROG}: check failed: {failure}\n")
+    return 2 if failures else 0
 
 
 if __name__ == "__main__":

@@ -6,14 +6,16 @@ without spawning subprocesses.
 """
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from walkstop import cli, exact_walk, mc_harness
+from walkstop import cli, exact_walk, mc_harness, q_process
 from walkstop.cli import _build_parser, main
 from walkstop.stopping_rules import _RULES
 
@@ -265,6 +267,167 @@ def test_sweep_assert_failure_exits_2_after_output(capsys):
     assert "check failed" in err and "argmax_d" in err
 
 
+# --- every documented check can fail --------------------------------------------
+# Each case breaks one library result that a handler reads and pins the
+# exact stderr line; the report is still written and the exit code is 2.
+
+
+@pytest.mark.parametrize("ratio", [5.0, math.nan])
+def test_bounds_assert_fails_outside_window_and_lattice_band(ratio, monkeypatch, capsys):
+    def off(*args):
+        return dataclasses.replace(mc_harness.ratio_report(*args), ratio=ratio)
+
+    monkeypatch.setattr(cli, "ratio_report", off)
+    code, out, err = run_cli(
+        ["bounds", "--h", "0.25", "--trials", "200", "--no-meta", "--assert"], capsys
+    )
+    assert code == 2 and json.loads(out)["command"] == "bounds"
+    # lattice values at k = 4: 3k / sqrt(3k^2 + 2k), sqrt(2k / (k+1)), sqrt(k / (k+1))
+    shown = f"{ratio:.4f}"
+    assert err.splitlines() == [
+        f"walkstop: check failed: gap_ratio = {shown} outside [1.7, 1.77] and more than "
+        "3 standard errors from the lattice value 1.6036",
+        f"walkstop: check failed: drop_ratio = {shown} outside [1.39, 1.45] and more than "
+        "3 standard errors from the lattice value 1.2649",
+        f"walkstop: check failed: max_ratio = {shown} outside [0.97, 1.03] and more than "
+        "3 standard errors from the lattice value 0.8944",
+    ]
+
+
+def _plus(fn, when, offset=1e-6):
+    """fn with offset added to its result on the calls where when(*args) holds."""
+
+    def shifted(*args):
+        value = fn(*args)
+        return value + offset if when(*args) else value
+
+    return shifted
+
+
+def _wider(c, d, delta, gamma):
+    """The delta = 2d seam's two branches, the wide one off by 1e-6."""
+    narrow, wide = q_process._premium_branches(c, d, delta, gamma)
+    return narrow, wide + 1e-6
+
+
+def _shift_grid(monkeypatch, shift):
+    """Add shift(gap_form, gamma) to q and to its gap form on qcheck's
+    1600-point grid (--grid 40) only, so q = payoff + gap form still holds."""
+
+    def gap_form(c, delta, gamma):
+        g = q_process.q_gap_form(c, delta, gamma)
+        return g + shift(g, gamma) if np.size(gamma) == 1600 else g
+
+    def q(p, delta, gamma, t):
+        v = q_process.q_value(p, delta, gamma, t)
+        if np.size(gamma) == 1600:
+            v = v + shift(q_process.q_gap_form(p.c, delta, gamma), gamma)
+        return v
+
+    monkeypatch.setattr(cli, "q_gap_form", gap_form)
+    monkeypatch.setattr(cli, "q_value", q)
+
+
+@pytest.mark.parametrize(
+    "breakage, lines",
+    [
+        (lambda mp: mp.setattr(cli, "payoff", _plus(q_process.payoff, lambda *a: True)),
+         ["identity_residual = 1.000e-06 >= 1e-12"]),
+        (lambda mp: mp.setattr(cli, "payoff", _plus(q_process.payoff, lambda *a: True, math.nan)),
+         ["identity_residual = nan >= 1e-12"]),
+        (lambda mp: mp.setattr(cli, "_premium_branches", _wider),
+         ["continuity_residual_delta_seam = 1.000e-06 >= 1e-12"]),
+        # the gamma seam is the only gap-form call with one gamma throughout
+        (lambda mp: mp.setattr(cli, "q_gap_form", _plus(
+            q_process.q_gap_form, lambda c, delta, gamma: np.ptp(gamma) == 0.0)),
+         ["continuity_residual_gamma_seam = 1.000e-06 >= 1e-12"]),
+        # the origin probes are the only scalar q calls
+        (lambda mp: mp.setattr(cli, "q_value", _plus(
+            q_process.q_value, lambda p, delta, gamma, t: np.ndim(delta) == 0)),
+         ["origin_payoff_residual = 1.000e-06 >= 1e-12"]),
+        (lambda mp: _shift_grid(mp, lambda g, gamma: np.where(gamma >= 0.5, 1e-6, 0.0)),
+         ["gap form nonzero (1.000e-06) on the stopped set gamma >= 0.5"]),
+        # a negative minimum is a nonzero value on the stopped set or a
+        # nonpositive one off it, so min_gap_form never fails alone
+        (lambda mp: _shift_grid(mp, lambda g, gamma: np.where(gamma >= 0.5, -1e-6, 0.0)),
+         ["min(Q - payoff) = -1e-06 < 0",
+          "gap form nonzero (1.000e-06) on the stopped set gamma >= 0.5"]),
+        (lambda mp: _shift_grid(mp, lambda g, gamma: np.where(gamma < 0.5, -g, 0.0)),
+         ["gap form not strictly positive off the stopped set (min 0.000e+00)"]),
+    ],
+)
+def test_qcheck_assert_reports_each_failed_check(breakage, lines, monkeypatch, capsys):
+    breakage(monkeypatch)
+    code, out, err = run_cli(["qcheck", "--grid", "40", "--no-meta", "--assert"], capsys)
+    assert code == 2 and json.loads(out)["command"] == "qcheck"
+    assert err.splitlines() == [f"walkstop: check failed: {line}" for line in lines]
+
+
+@pytest.mark.parametrize(
+    "first_stops, line",
+    [
+        # row 40 >= k = 20 first stops five cells past the threshold
+        ({40: 25}, "stop boundary at a=40 is b=25, more than one cell from 20"),
+        # row 5 <= k - 2 stops in the bulk b <= cap - 4k = 120
+        ({5: 10}, "interior stop state at a=5 (b=10) below the threshold band"),
+        # only the first bad row is reported
+        ({40: 25, 5: 10}, "interior stop state at a=5 (b=10) below the threshold band"),
+    ],
+)
+def test_dp_assert_reports_first_box_violation(first_stops, line, monkeypatch, capsys):
+    def perturbed(spec):
+        sol = exact_walk.dp_solve(spec)
+        region = sol.stop_region.copy()
+        for a, b in first_stops.items():
+            region[a, :b] = False
+            region[a, b] = True
+        return dataclasses.replace(sol, stop_region=region)
+
+    code, _, err = run_cli(["dp", "--no-meta", "--assert"], capsys)
+    assert code == 0 and err == ""
+    monkeypatch.setattr(cli, "dp_solve", perturbed)
+    code, out, err = run_cli(["dp", "--no-meta", "--assert"], capsys)
+    assert code == 2 and json.loads(out)["command"] == "dp"
+    assert err == f"walkstop: check failed: {line}\n"
+
+
+def test_sweep_assert_fails_when_ci_misses_lattice_payoff(monkeypatch, capsys):
+    def shifted(*args):
+        res = mc_harness.sweep_payoff(*args)
+        points = tuple(
+            dataclasses.replace(p, payoff=dataclasses.replace(
+                p.payoff, mean=p.payoff.mean + 1.0,
+                ci_low=p.payoff.ci_low + 1.0, ci_high=p.payoff.ci_high + 1.0))
+            for p in res.points
+        )
+        return dataclasses.replace(res, points=points)
+
+    monkeypatch.setattr(cli, "sweep_payoff", shifted)
+    code, out, err = run_cli(
+        ["sweep", "--grid", "0.5", "--h", "0.125", "--trials", "300", "--seed", "1",
+         "--no-meta", "--assert"],
+        capsys,
+    )
+    assert code == 2
+    (point,) = json.loads(out)["results"]["curve"]
+    # 3kh - c(3k^2 + 2k)h^2 at k = 4, h = 1/8
+    assert err == (
+        f"walkstop: check failed: payoff curve at d=0.5: CI [{point['ci_low']:.4f}, "
+        f"{point['ci_high']:.4f}] misses lattice payoff 0.6250\n"
+    )
+
+
+def test_closed_forms_assert_checks_decomposition(monkeypatch, capsys):
+    def wrong(c, d):
+        table = exact_walk.closed_forms(c, d)
+        return {**table, "E_tau_d": table["E_tau_d"] + 0.25}
+
+    monkeypatch.setattr(cli, "closed_forms", wrong)
+    code, out, err = run_cli(["closed-forms", "--no-meta", "--assert"], capsys)
+    assert code == 2 and json.loads(out)["results"]["E_tau_d"] == 0.5
+    assert err == "walkstop: check failed: decomposition 0.5 + 0.5 != 0.75\n"
+
+
 def test_dist_assert_and_tables(capsys):
     code, out, _ = run_cli(
         ["dist", "--trials", "400", "--seed", "11", "--assert", "--no-meta"], capsys
@@ -359,6 +522,12 @@ def test_invalid_parameters_exit_1(argv, capsys):
     assert err.startswith("walkstop: invalid parameters:")
 
 
+def test_qcheck_grid_below_two_exits_1(capsys):
+    code, out, err = run_cli(["qcheck", "--grid", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err == "walkstop: invalid parameters: --grid must be >= 2, got 1\n"
+
+
 @pytest.mark.parametrize(
     "argv, name",
     [
@@ -400,8 +569,8 @@ def test_censored_trials_warn_on_stderr(extra, monkeypatch, capsys):
     handler = cli._HANDLERS["closed-forms"]
 
     def censoring(args):
-        params, results, _, table, failures = handler(args)
-        return params, results, 3, table, failures
+        params, results, _, table, checks = handler(args)
+        return params, results, 3, table, checks
 
     monkeypatch.setitem(cli._HANDLERS, "closed-forms", censoring)
     code, out, err = run_cli(["closed-forms", "--no-meta"] + extra, capsys)

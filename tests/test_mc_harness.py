@@ -41,6 +41,7 @@ from walkstop import (
 from walkstop import mc_harness, stopping_rules
 from walkstop.mc_harness import (
     REWARD_NAMES,
+    CollectResult,
     _CHUNK,
     _Steps,
     _chunk_tables,
@@ -969,3 +970,40 @@ def test_pool_is_capped_at_usable_cpus(monkeypatch):
     monkeypatch.setattr(mc_harness.os, "cpu_count", lambda: 3)
     sweep_payoff(1.0, [1.0], UNIT, 600, 7, workers=1000)
     assert requested[-1] == 3 and mapped[-1] == 3
+
+
+NOT_A_TARGET = object()
+NO_VARIANCE = CollectResult(
+    values={"max": np.ones(4), "terminal_sq": np.zeros(4)}, fired=np.ones(4, dtype=bool)
+)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: collect_rewards(Gap(1.0), (), UNIT, 10, 0),
+         ValueError, "at least one reward is required"),
+        (lambda: collect_rewards(Gap(1.0), ("max", "max"), UNIT, 10, 0),
+         ValueError, "duplicate reward names in ('max', 'max')"),
+        (lambda: ratio_report_from(NO_VARIANCE, "max"),
+         ValueError, "terminal second moment must be positive"),
+        (lambda: gof_test(np.arange(5.0), NOT_A_TARGET),
+         TypeError, f"unknown target {NOT_A_TARGET!r}"),
+        (lambda: drift_check(1.0, 0.0, 10, 0, (0.0, 1.0)),
+         ValueError, "horizon must be positive, got 0.0"),
+        (lambda: drift_check(1.0, 1.0, 1, 0, (0.0, 1.0)),
+         ValueError, "n must be >= 2, got 1"),
+        # at h = 1/2 a step takes time 1/4, so 1e-12 rounds to 0 steps (at the
+        # default h = 1/40 it is off the time lattice instead)
+        (lambda: drift_check(1.0, 1e-12, 10, 0, (0.0, 1e-12), spec=LatticeSpec(h=0.5)),
+         ValueError, "horizon shorter than one step"),
+        (lambda: drift_check(1.0, 1.0, 10, 0, (1.0,)),
+         ValueError, "need at least two checkpoints"),
+        (lambda: levy_samples(1e-12, UNIT, 10, 0),
+         ValueError, "t shorter than one step"),
+    ],
+)
+def test_rejections_name_the_bad_input(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

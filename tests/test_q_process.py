@@ -354,3 +354,13 @@ def test_premium_nonnegative_property(c, delta, frac, t):
     p = QParams.optimal(c)
     gamma = frac * delta
     assert q_value(p, delta, gamma, t) - payoff(delta, t, c) >= -1e-12
+
+
+@pytest.mark.parametrize(
+    "delta, t, message",
+    [(-1.0, 0.0, "delta must be nonnegative"), (1.0, -1.0, "t must be nonnegative")],
+)
+def test_payoff_rejects_negative_inputs_by_name(delta, t, message):
+    with pytest.raises(ValueError) as info:
+        payoff(delta, t, 1.0)
+    assert str(info.value) == message

@@ -329,3 +329,21 @@ def test_gap_dominates_absgap(word):
     fired_a, step_a, _ = reference_run(AbsGap(1.0), word, UNIT)
     if fired_g:
         assert fired_a and step_a <= step_g
+
+
+NOT_A_RULE = object()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: should_stop(NOT_A_RULE, init_state()), TypeError, f"unknown rule {NOT_A_RULE!r}"),
+        (lambda: rule_units(NOT_A_RULE, UNIT), TypeError, f"unknown rule {NOT_A_RULE!r}"),
+        (lambda: run_until_stop(Gap(1.0), UNIT, np.random.default_rng(0), max_steps=0),
+         ValueError, "max_steps must be >= 1, got 0"),
+    ],
+)
+def test_rejections_name_the_bad_input(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
