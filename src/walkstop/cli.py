@@ -368,7 +368,10 @@ def _cmd_dp(args):
     sol = dp_solve(spec)
     b_min = sol.stop_boundary
     boundary = [[a, int(b)] for a, b in enumerate(b_min)]
-    target_value = 3.0 / (4.0 * c)
+    # The best lattice gap payoff 3kh - c(3k^2+2k)h^2 over integer k; the
+    # continuum value 3/(4c) sits O(h) above it.
+    gap, ks = _RULES["gap"], np.arange(cap + 1)
+    target_value = float(np.max(gap.reward_mean(ks, 0, 0) * h - c * gap.mean(ks, 0, 0) * h * h))
     k = round((1.0 / (2.0 * c)) / h)
     results = {
         "value_origin": sol.value_origin,
@@ -386,7 +389,7 @@ def _cmd_dp(args):
     i = int(np.argmax(bad))  # the first bad row, else row 0
     checks = [
         (not (abs(sol.value_origin - target_value) > 0.05 * target_value),
-         f"value_origin {sol.value_origin:.5f} more than 5% from {target_value:.5f}"),
+         f"value_origin {sol.value_origin:.5f} more than 5% from the lattice gap payoff {target_value:.5f}"),
         (not bad.any(),
          f"stop boundary at a={i} is b={b_min[i]}, more than one cell from {k}" if i >= k
          else f"interior stop state at a={i} (b={b_min[i]}) below the threshold band"),

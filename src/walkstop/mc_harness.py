@@ -599,14 +599,17 @@ def _finite_sample(values, name: str) -> np.ndarray:
 def gof_test(sample, target) -> GofResult:
     """Goodness-of-fit test of a sample against a target law.
 
-    One-sample Kolmogorov-Smirnov for the continuous targets, two-sample KS
-    for Empirical, chi-square on counts for the discrete VShape; p-values
-    use the standard asymptotics in every case.  scipy is imported here,
-    after the inputs are checked, so nothing else in walkstop pays for
-    loading it.  The KS tests load scipy.stats.  The VShape test loads only
-    scipy.special: it forms Pearson's statistic as scipy.stats.chisquare
-    does and takes the p-value from the same kernel, chdtrc, so the two
-    agree bit for bit.
+    Exponential and Uniform: the two-sided one-sample Kolmogorov-Smirnov
+    statistic D, with the Kolmogorov limit's p-value at D * sqrt(N).
+    Empirical: the two-sided two-sample KS statistic, with its p-value from
+    the finite-n law of D_n at n = round(mn / (m + n)) (Simard & L'Ecuyer).
+    VShape: Pearson's chi-square on the counts of each support point, with
+    the chi-square law's p-value on (support size - 1) degrees of freedom.
+    Each result equals scipy.stats' (kstest and ks_2samp with
+    method="asymp", chisquare) bit for bit, but only scipy.special is
+    loaded: `_ksstats` ports the finite-n KS law, and scipy.stats is never
+    imported.  scipy.special is imported here, after the inputs are checked,
+    so nothing else in walkstop pays for loading it.
     """
     arr = _finite_sample(sample, "sample")
     if np.ptp(arr) == 0.0:
@@ -632,16 +635,13 @@ def gof_test(sample, target) -> GofResult:
     elif not isinstance(target, (Exponential, Uniform)):
         raise TypeError(f"unknown target {target!r}")
 
-    from scipy import stats as sps
+    from ._ksstats import expon_cdf, ks_1samp, ks_2samp, uniform_cdf
 
     if isinstance(target, Exponential):
-        stat, p = sps.kstest(arr, "expon", args=(0.0, target.mean), method="asymp")
-        return GofResult(float(stat), float(p), "ks_exponential")
+        return GofResult(*ks_1samp(arr / target.mean, expon_cdf), "ks_exponential")
     if isinstance(target, Uniform):
-        stat, p = sps.kstest(arr, "uniform", args=(0.0, target.hi), method="asymp")
-        return GofResult(float(stat), float(p), "ks_uniform")
-    stat, p = sps.ks_2samp(arr, ref, method="asymp")
-    return GofResult(float(stat), float(p), "ks_two_sample")
+        return GofResult(*ks_1samp(arr / target.hi, uniform_cdf), "ks_uniform")
+    return GofResult(*ks_2samp(arr, ref), "ks_two_sample")
 
 
 # --- drift checks ----------------------------------------------------------

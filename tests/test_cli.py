@@ -391,6 +391,33 @@ def test_dp_assert_reports_first_box_violation(first_stops, line, monkeypatch, c
     assert err == f"walkstop: check failed: {line}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, payoff",
+    [
+        # continuum 3/(4c) = 0.75; 3kh - (3k^2+2k)h^2 is largest at k = 12 and 10
+        (["--c", "1", "--h", "0.04", "--cap", "150"], 0.7104),
+        (["--h", "0.05", "--cap", "60"], 0.7),
+    ],
+)
+def test_dp_assert_compares_with_lattice_gap_payoff(argv, payoff, monkeypatch, capsys):
+    code, out, err = run_cli(["dp", *argv, "--no-meta", "--assert"], capsys)
+    assert code == 0 and err == ""
+    value = json.loads(out)["results"]["value_origin"]
+    assert abs(value - payoff) < 0.005 and abs(value - 0.75) > 0.05 * 0.75
+
+    def perturbed(spec):
+        sol = exact_walk.dp_solve(spec)
+        return dataclasses.replace(sol, value_origin=1.06 * sol.value_origin)
+
+    monkeypatch.setattr(cli, "dp_solve", perturbed)
+    code, out, err = run_cli(["dp", *argv, "--no-meta", "--assert"], capsys)
+    assert code == 2 and json.loads(out)["command"] == "dp"
+    assert err == (
+        f"walkstop: check failed: value_origin {1.06 * value:.5f} more than 5% "
+        f"from the lattice gap payoff {payoff:.5f}\n"
+    )
+
+
 def test_sweep_assert_fails_when_ci_misses_lattice_payoff(monkeypatch, capsys):
     def shifted(*args):
         res = mc_harness.sweep_payoff(*args)

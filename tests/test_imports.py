@@ -1,11 +1,14 @@
-"""Import cost: scipy loads only when a goodness-of-fit test runs.
+"""Import cost: scipy loads only when a goodness-of-fit test runs, and
+scipy.stats never does.
 
-scipy.stats takes most of a second to import, several times numpy's cost,
-and only `gof_test`'s KS tests (the `walkstop dist` battery) need it.  The
-VShape chi-square test loads scipy.special alone, about a third of that.
-The other commands load no scipy module at all, so the dynamic program
-stays numpy-only; neither does a rejected input.  The check runs in a
-fresh interpreter, since the pytest process has already loaded scipy.
+scipy.stats takes most of a second and about 45 MB to import, on top of
+scipy.special.  `gof_test` needs only scipy.special: the VShape chi-square
+test takes its p-value from chdtrc, the KS tests from kolmogorov, smirnov
+and the finite-n KS law ported into `walkstop._ksstats`.  Every command but
+`dist` loads no scipy module at all, so the dynamic program stays
+numpy-only; neither does a rejected input.  `dist` runs the whole battery
+and loads scipy.special alone.  The check runs in a fresh interpreter,
+since the pytest process has already loaded scipy.
 """
 
 import ast
@@ -15,9 +18,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import walkstop
 
-# Every command but dist, at small sizes; then a rejected input; then a test.
+# Every command but dist, at small sizes; then rejected inputs; then dist.
 _PROBE = """
 import contextlib, io, sys
 import numpy as np
@@ -44,7 +49,6 @@ except ValueError:
     pass
 else:
     raise AssertionError("a NaN reference sample was accepted")
-assert "scipy.stats" not in sys.modules, "rejected input loaded scipy.stats"
 
 try:
     walkstop.gof_test(np.array([0.5, 1.5, -1.0] * 50), walkstop.VShape(hdiam=2))
@@ -53,25 +57,53 @@ except ValueError:
 else:
     raise AssertionError("an off-lattice VShape sample was accepted")
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
-assert not loaded, f"a rejected VShape input loaded {loaded[:3]}"
+assert not loaded, f"a rejected input loaded {loaded[:3]}"
 
-walkstop.gof_test(np.array([-2.0, -1.0, 1.0, 2.0] * 50), walkstop.VShape(hdiam=2))
-assert "scipy.special" in sys.modules, "the VShape test ran without scipy.special"
-assert "scipy.stats" not in sys.modules, "the VShape test loaded scipy.stats"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["dist", "--trials", "200", "--no-meta"]) == 0
+assert "scipy.special" in sys.modules, "dist ran without scipy.special"
+assert "scipy.stats" not in sys.modules, "dist loaded scipy.stats"
+"""
 
-walkstop.gof_test(np.arange(1.0, 50.0), walkstop.Exponential(mean=25.0))
-assert "scipy.stats" in sys.modules, "gof_test ran without scipy.stats"
+# One goodness-of-fit test, alone in a fresh interpreter.
+_GOF_PROBE = """
+import sys
+import numpy as np
+import walkstop
+
+assert "scipy" not in sys.modules, "import walkstop loaded scipy"
+sample = np.array([-2.0, -1.0, 1.0, 2.0] * 50)
+walkstop.gof_test(sample, {target})
+assert "scipy.special" in sys.modules, "the test ran without scipy.special"
+assert "scipy.stats" not in sys.modules, "the test loaded scipy.stats"
 """
 
 
-def test_scipy_stats_loads_only_for_goodness_of_fit():
+def _run_fresh(code):
     src = str(Path(walkstop.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src if not path else os.pathsep.join((src, path))}
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_goodness_of_fit_loads_scipy_special_only():
+    _run_fresh(_PROBE)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        "walkstop.VShape(hdiam=2)",
+        "walkstop.Exponential(mean=2.0)",
+        "walkstop.Uniform(hi=3.0)",
+        "walkstop.Empirical(values=np.arange(-2.5, 3.0, 0.1))",
+    ],
+)
+def test_each_gof_target_loads_scipy_special_not_stats(target):
+    _run_fresh(_GOF_PROBE.format(target=target))
 
 
 # The package's public names, each declared once in its submodule's __all__.
