@@ -162,6 +162,13 @@ def _flat_rows(results: dict, prefix: str = "") -> list[tuple[str, object]]:
     return rows
 
 
+def _lattice_gap_payoff(c, h, k):
+    """Lattice-exact gap-rule payoff 3kh - c(3k^2+2k)h^2 at k = d/h (an int
+    or an array); the continuum value 3d - 3cd^2 sits 2cdh above it."""
+    gap = _RULES["gap"]
+    return gap.reward_mean(k, 0, 0) * h - c * gap.mean(k, 0, 0) * (h * h)
+
+
 # --- command handlers ------------------------------------------------------
 # Each returns (params, results, censored, table, checks): table is the
 # (header, rows) pair used for CSV output and checks lists every documented
@@ -297,14 +304,14 @@ def _cmd_qcheck(args):
         raise ValueError(f"--grid must be >= 2, got {args.grid}")
     n_points = args.grid * args.grid
     rng = np.random.default_rng(args.seed)
-    d = 1.0 / (2.0 * c)
+    params_q = QParams.optimal(c)
+    d = params_q.d
     delta = rng.uniform(0.0, 4.0 / c, n_points)
     gamma = rng.uniform(0.0, delta / 2.0)
     t = rng.uniform(0.0, 4.0 / (c * c), n_points)
 
     gap_form = q_gap_form(c, delta, gamma)
     i_min = int(np.argmin(gap_form))
-    params_q = QParams(c=c, d=d)
     identity_resid = float(
         np.max(np.abs(q_value(params_q, delta, gamma, t) - payoff(delta, t, c) - gap_form))
     )
@@ -321,7 +328,7 @@ def _cmd_qcheck(args):
     d_probe = rng.uniform(0.1 / c, 2.0 / c, 8)
     origin_resid = float(
         max(
-            abs(q_value(QParams(c=c, d=float(di)), 0.0, 0.0, 0.0) - (3.0 * di - 3.0 * c * di * di))
+            abs(q_value(QParams(c=c, d=float(di)), 0.0, 0.0, 0.0) - closed_forms(c, di)["payoff_gap"])
             for di in d_probe
         )
     )
@@ -368,11 +375,8 @@ def _cmd_dp(args):
     sol = dp_solve(spec)
     b_min = sol.stop_boundary
     boundary = [[a, int(b)] for a, b in enumerate(b_min)]
-    # The best lattice gap payoff 3kh - c(3k^2+2k)h^2 over integer k; the
-    # continuum value 3/(4c) sits O(h) above it.
-    gap, ks = _RULES["gap"], np.arange(cap + 1)
-    target_value = float(np.max(gap.reward_mean(ks, 0, 0) * h - c * gap.mean(ks, 0, 0) * h * h))
-    k = round((1.0 / (2.0 * c)) / h)
+    target_value = float(np.max(_lattice_gap_payoff(c, h, np.arange(cap + 1))))  # over integer k
+    k = round(QParams.optimal(c).d / h)
     results = {
         "value_origin": sol.value_origin,
         "iterations": sol.iterations,
@@ -388,7 +392,8 @@ def _cmd_dp(args):
     bad = (a <= bulk) & np.where(a >= k, np.abs(b_min - k) > 1, (a <= k - 2) & (b_min <= bulk))
     i = int(np.argmax(bad))  # the first bad row, else row 0
     checks = [
-        (not (abs(sol.value_origin - target_value) > 0.05 * target_value),
+        # Below k = 2 a rule other than the gap rule beats every threshold.
+        (k < 2 or not (abs(sol.value_origin - target_value) > 0.05 * target_value),
          f"value_origin {sol.value_origin:.5f} more than 5% from the lattice gap payoff {target_value:.5f}"),
         (not bad.any(),
          f"stop boundary at a={i} is b={b_min[i]}, more than one cell from {k}" if i >= k
@@ -427,18 +432,14 @@ def _cmd_sweep(args):
         ("d", "mean", "ci_low", "ci_high"),
         [(p["d"], p["mean"], p["ci_low"], p["ci_high"]) for p in curve],
     )
-    d_star = 1.0 / (2.0 * c)
+    d_star = QParams.optimal(c).d
     cell = max(
         (abs(b - a) for a, b in zip(sorted(grid), sorted(grid)[1:])), default=0.0
     )
     checks = [(not (abs(result.argmax_d - d_star) > cell + 1e-12),
                f"argmax_d = {result.argmax_d} more than one grid cell from {d_star}")]
-    gap = _RULES["gap"]
     for p in curve:
-        # Lattice-exact payoff 3kh - c(3k^2+2k)h^2, k = d/h; the continuum
-        # value 3d - 3cd^2 sits 2cdh above it.
-        k = spec.units(p["d"], "d")
-        exact = gap.reward_mean(k, 0, 0) * h - c * gap.mean(k, 0, 0) * spec.time_per_step
+        exact = _lattice_gap_payoff(c, h, spec.units(p["d"], "d"))
         checks.append((
             p["ci_low"] <= exact <= p["ci_high"],
             f"payoff curve at d={p['d']}: CI [{p['ci_low']:.4f}, {p['ci_high']:.4f}] "

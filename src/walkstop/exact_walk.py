@@ -1,10 +1,10 @@
 """Exact, simulation-free results for the lattice walk and its continuum limit.
 
-Contents: first-exit moments, the exact termination pmf of the walk stopped
-at a target diameter (with an independent absorbing-chain oracle), exact
-expected step counts for the lattice stopping rules, the table of continuum
-closed forms the simulations must reproduce, and an exact dynamic program
-that recovers the optimal gap threshold and payoff from scratch.
+Contents: the exact termination pmf of the walk stopped at a target
+diameter (with an independent absorbing-chain oracle), exact expected step
+counts for the lattice stopping rules, the table of continuum closed forms
+the simulations must reproduce, and an exact dynamic program that recovers
+the optimal gap threshold and payoff from scratch.
 
 The diameter only grows, so both exact solvers go one diameter layer at a
 time: the oracle carries the walk's mass forward, one small absorbing-chain
@@ -25,42 +25,14 @@ from .path_engine import LatticeSpec, _require_positive
 from .stopping_rules import _RULES, StopRule, rule_units
 
 __all__ = [
-    "ExitStats",
-    "exit_stats",
     "walk_diameter_pmf",
     "absorption_pmf_oracle",
     "exact_stop_steps",
-    "exact_stop_time",
     "closed_forms",
     "WalkDP",
     "DPSolution",
     "dp_solve",
 ]
-
-
-@dataclass(frozen=True)
-class ExitStats:
-    """Moments of the first exit from an interval, started inside it."""
-
-    expected_time: float
-    prob_hit_lower: float
-
-
-def exit_stats(lo: float, hi: float, x: float) -> ExitStats:
-    """Expected exit time (x - lo)(hi - x) and lower-boundary probability.
-
-    Exact for the continuum limit and, with all three arguments on the
-    lattice, exact for the walk as well (in walk time units of h^2 per
-    step the identities are unchanged).
-    """
-    if not (lo < hi):
-        raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
-    if not (lo <= x <= hi):
-        raise ValueError(f"start {x} outside [{lo}, {hi}]")
-    return ExitStats(
-        expected_time=(x - lo) * (hi - x),
-        prob_hit_lower=(hi - x) / (hi - lo),
-    )
 
 
 def _unit_hdiam(hdiam: float) -> int:
@@ -123,11 +95,6 @@ def exact_stop_steps(rule: StopRule, spec: LatticeSpec) -> float:
     """
     kind, k, klo, khi = rule_units(rule, spec)
     return float(_RULES[kind].mean(k, klo, khi))
-
-
-def exact_stop_time(rule: StopRule, spec: LatticeSpec) -> float:
-    """Exact expected stopping time of the rule on the lattice (steps x h^2)."""
-    return exact_stop_steps(rule, spec) * spec.time_per_step
 
 
 def closed_forms(c: float, d: float) -> dict:

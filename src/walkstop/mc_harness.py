@@ -769,13 +769,13 @@ def drift_check(
     paths are walked to the last checkpoint, never beyond it, so two calls
     that differ only in `horizon` return the same report.
     """
-    _require_positive(c, "c")
+    params = QParams.optimal(c)
     if not (horizon > 0.0):
         raise ValueError(f"horizon must be positive, got {horizon}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     _check_trials(n, seed)
-    d = 1.0 / (2.0 * c)
+    d = params.d
     if spec is None:
         spec = LatticeSpec(h=d / 20.0)
     k = spec.units(d, "d")
@@ -805,7 +805,6 @@ def drift_check(
     g_st = np.where(stopped, k * h, g_un)
     t_st = np.where(stopped, stop_time, cp_times)
 
-    params = QParams(c=c, d=d)
     q_un = q_value(params, d_un, g_un, np.broadcast_to(cp_times, d_un.shape))
     q_st = q_value(params, d_st, g_st, t_st)
     return DriftReport(

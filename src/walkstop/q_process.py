@@ -53,6 +53,7 @@ class QParams:
     @classmethod
     def optimal(cls, c: float) -> "QParams":
         """The threshold that maximizes the expected payoff: d = 1/(2c)."""
+        _require_positive(c, "c")  # c = 0 would raise ZeroDivisionError below
         return cls(c=c, d=1.0 / (2.0 * c))
 
 
@@ -159,8 +160,7 @@ def q_gap_form(c, delta, gamma):
     delta < 1/c; and c*(1/(2c) - gamma)^2 otherwise.  Nonnegative on the
     whole domain.
     """
-    _require_positive(c, "c")
-    d = 1.0 / (2.0 * c)
+    d = QParams.optimal(c).d
 
     def kernel(delta, gamma):
         narrow = c * (0.25 * (1.0 / c - delta) * (3.0 / c - delta) + (delta / 2.0 - gamma) ** 2)

@@ -418,6 +418,15 @@ def test_dp_assert_compares_with_lattice_gap_payoff(argv, payoff, monkeypatch, c
     )
 
 
+def test_dp_assert_has_no_value_target_below_two_cells(capsys):
+    # k = round(1/(2ch)) = 1: stopping after one step, worth h - ch^2 = 0.08,
+    # beats every gap threshold, the best of which pays 0.
+    argv = ["dp", "--c", "3", "--h", "0.2", "--cap", "20", "--no-meta", "--assert"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["results"]["value_origin"] == pytest.approx(0.08)
+
+
 def test_sweep_assert_fails_when_ci_misses_lattice_payoff(monkeypatch, capsys):
     def shifted(*args):
         res = mc_harness.sweep_payoff(*args)

@@ -20,41 +20,11 @@ from walkstop import (
     closed_forms,
     dp_solve,
     exact_stop_steps,
-    exact_stop_time,
-    exit_stats,
     walk_diameter_pmf,
 )
 from walkstop import exact_walk
 
 UNIT = LatticeSpec(h=1.0)
-
-
-# --- first-exit closed form --------------------------------------------------
-
-def test_exit_stats_hand_values():
-    s = exit_stats(-1.0, 1.0, 0.0)
-    assert s.expected_time == pytest.approx(1.0)
-    assert s.prob_hit_lower == pytest.approx(0.5)
-    s = exit_stats(-1.0, 2.0, 0.0)
-    assert s.expected_time == pytest.approx(2.0)
-    assert s.prob_hit_lower == pytest.approx(2.0 / 3.0)
-    s = exit_stats(-1.0, 1.0, 0.5)
-    assert s.expected_time == pytest.approx(0.75)
-    assert s.prob_hit_lower == pytest.approx(0.25)
-
-
-def test_exit_stats_translation_invariance():
-    # the formula depends only on distances to the two boundaries
-    s = exit_stats(1.0, 2.0, 1.5)
-    assert s.expected_time == pytest.approx(0.25)
-    assert s.prob_hit_lower == pytest.approx(0.5)
-
-
-def test_exit_stats_validation():
-    with pytest.raises(ValueError):
-        exit_stats(-1.0, 1.0, 1.5)  # start outside the interval
-    with pytest.raises(ValueError):
-        exit_stats(1.0, -1.0, 0.0)  # inverted interval
 
 
 # --- terminal pmf of the diameter rule ----------------------------------------
@@ -201,14 +171,6 @@ def test_two_stage_decomposition_identity():
         assert exact_stop_steps(DropDrawdown(k), UNIT) == 2 * exact_stop_steps(
             Drawdown(k), UNIT
         )
-
-
-def test_exact_stop_time_scales_with_h():
-    spec = LatticeSpec(h=0.1)
-    assert exact_stop_time(Gap(1.0), spec) == pytest.approx(
-        (3 * 100 + 2 * 10) * 0.01
-    )
-    assert exact_stop_time(Drawdown(0.5), spec) == pytest.approx(5 * 6 * 0.01)
 
 
 # --- closed-form table ----------------------------------------------------------

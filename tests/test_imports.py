@@ -112,8 +112,8 @@ _PUBLIC = {
     "stopping_rules": "Drawdown Rise AbsGap Gap DropDrawdown DiameterReach FirstExit"
     " StopRule StoppedPath should_stop default_max_steps run_until_stop",
     "q_process": "QParams DomainError DOMAIN_TOL q_value payoff q_gap_form",
-    "exact_walk": "ExitStats exit_stats walk_diameter_pmf absorption_pmf_oracle"
-    " exact_stop_steps exact_stop_time closed_forms WalkDP DPSolution dp_solve",
+    "exact_walk": "walk_diameter_pmf absorption_pmf_oracle exact_stop_steps closed_forms"
+    " WalkDP DPSolution dp_solve",
     "mc_harness": "Z99 REWARD_NAMES TrialStats RatioReport CollectResult collect_rewards"
     " stats_from_sample estimate ratio_report ratio_report_from Exponential Uniform"
     " VShape Empirical GofResult gof_test DriftRow DriftReport drift_check"
@@ -130,7 +130,7 @@ def test_public_names_are_declared_once_per_submodule():
         for name in module.__all__:
             assert getattr(walkstop, name) is getattr(module, name), name
     expected = {n for group in _PUBLIC.values() for n in group.split()}
-    assert len(expected) == 56
+    assert len(expected) == 53
     assert set(names) == {"__version__"} | expected
 
 
@@ -151,7 +151,22 @@ def test_positivity_check_is_written_once():
     assert found == [("path_engine.py", "_require_positive")]
 
 
-def test_block_hint_is_called_once_in_mc_harness():
+def test_optimal_threshold_is_written_once():
+    """d* = 1/(2c) lives only in `QParams.optimal`; every other user reads
+    it from there.  `closed_forms` also writes 1/(2c), as the optimal
+    drop-drawdown payoff `payoff_plus_opt`, which happens to equal it."""
+    found = []
+    for path in sorted(Path(walkstop.__file__).resolve().parent.glob("*.py")):
+        owner = None
+        for line in path.read_text().splitlines():
+            top = re.match(r"\s*(?:def|class) (\w+)", line)
+            owner = top.group(1) if top else owner
+            if "1.0 / (2.0 * c)" in line:
+                found.append((path.name, owner))
+    assert found == [("exact_walk.py", "closed_forms"), ("q_process.py", "optimal")]
+
+
+def test_block_hint_callers_are_run_chunk_and_run_until_stop():
     """Both first-passage scans size their first block from `_block_hint`:
     across the package its callers are exactly `_run_chunk`, the batched
     engine, and `run_until_stop`, and no other block constant is left."""

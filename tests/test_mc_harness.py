@@ -371,6 +371,10 @@ def test_drift_check_structure_and_validation():
     )
     assert report.unstopped[0].t_start == 0.0
     assert report.unstopped[-1].t_end == 1.0
+    with pytest.raises(ValueError, match="c must be positive and finite"):
+        drift_check(0.0, 1.0, 100, 3, (0.0, 1.0))
+    with pytest.raises(ValueError, match="d must be positive and finite"):
+        drift_check(1e-310, 1.0, 100, 3, (0.0, 1.0))
     with pytest.raises(ValueError):
         drift_check(1.0, 1.0, 100, 3, (0.5, 0.2, 1.0), spec=LatticeSpec(h=0.1))
     with pytest.raises(ValueError):

@@ -28,6 +28,14 @@ def test_qparams_validation_and_optimal():
         payoff(1.0, 0.0, np.inf)
     with pytest.raises(ValueError, match="c must be positive and finite"):
         q_gap_form(np.inf, 1.0, 0.25)
+    # c = 0 is reported as a bad c, not as a ZeroDivisionError from 1/(2c)
+    with pytest.raises(ValueError, match="c must be positive and finite"):
+        QParams.optimal(0.0)
+    with pytest.raises(ValueError, match="c must be positive and finite"):
+        q_gap_form(0.0, 1.0, 0.25)
+    # a c so small that 1/(2c) overflows leaves no finite threshold
+    with pytest.raises(ValueError, match="d must be positive and finite"):
+        q_gap_form(1e-310, 1.0, 0.25)
 
 
 def test_payoff_is_linear():
