@@ -376,7 +376,8 @@ def _cmd_dp(args):
     b_min = sol.stop_boundary
     boundary = [[a, int(b)] for a, b in enumerate(b_min)]
     target_value = float(np.max(_lattice_gap_payoff(c, h, np.arange(cap + 1))))  # over integer k
-    k = round(QParams.optimal(c).d / h)
+    cells = QParams.optimal(c).d / h
+    k = round(cells)
     results = {
         "value_origin": sol.value_origin,
         "iterations": sol.iterations,
@@ -392,8 +393,8 @@ def _cmd_dp(args):
     bad = (a <= bulk) & np.where(a >= k, np.abs(b_min - k) > 1, (a <= k - 2) & (b_min <= bulk))
     i = int(np.argmax(bad))  # the first bad row, else row 0
     checks = [
-        # Below k = 2 a rule other than the gap rule beats every threshold.
-        (k < 2 or not (abs(sol.value_origin - target_value) > 0.05 * target_value),
+        # Below two cells another rule can beat every gap threshold.
+        (cells < 2 or not (abs(sol.value_origin - target_value) > 0.05 * target_value),
          f"value_origin {sol.value_origin:.5f} more than 5% from the lattice gap payoff {target_value:.5f}"),
         (not bad.any(),
          f"stop boundary at a={i} is b={b_min[i]}, more than one cell from {k}" if i >= k

@@ -23,6 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
 from math import ceil, isfinite, sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -128,7 +129,7 @@ class _Steps:
     `Generator(Philox(key=[seed, t])).integers(0, 2)` maps to +-1, as the
     tests pin, read without building a generator per trial: one bit
     generator serves every trial, its key and counter rewritten for each
-    draw.
+    draw.  Callers see only 16-step chunks.
     """
 
     def __init__(self, seed: int) -> None:
@@ -139,40 +140,34 @@ class _Steps:
         self._key = self._state["state"]["key"]
         self._counter = self._state["state"]["counter"]
 
-    def words(self, trial: int, start: int, count: int) -> np.ndarray:
-        """`count` raw words holding steps start .. start + 2*count - 1.
+    def codes(self, trials, start: int, chunks: int) -> np.ndarray:
+        """uint16 codes, one row per trial, of `chunks` chunks from step `start`.
 
-        One Philox counter value yields four words, i.e. eight steps, so
-        `start` must be a multiple of 8.
+        A chunk's code holds its step j in bit j, 1 for +1.  `start` must be
+        a multiple of 16; a counter value yields eight steps.  Byte pairs
+        are joined with a shift, not a uint16 view, which would swap them
+        on a big-endian host.
         """
-        if start % 8:
-            raise ValueError(f"start must be a multiple of 8, got {start}")
-        self._key[1] = trial
+        if start % 16:
+            raise ValueError(f"start must be a multiple of 16, got {start}")
+        words = np.empty((len(trials), 8 * chunks), dtype=np.uint64)
         self._counter[0] = start // 8
-        self._bg.state = self._state
-        return self._bg.random_raw(count)
+        for r, trial in enumerate(trials):
+            self._key[1] = trial
+            self._bg.state = self._state
+            words[r] = self._bg.random_raw(8 * chunks)
+        plus = words.view(np.uint32) >= 1 << 31
+        packed = np.packbits(plus, axis=-1, bitorder="little")
+        return packed[:, 0::2] | packed[:, 1::2].astype(np.uint16) << 8
 
 
 # --- the packed scan ----------------------------------------------------------
 #
-# Both scans read the steps sixteen at a time.  A chunk's code holds its
-# step j in bit j, 1 for +1; per-chunk facts come from tables indexed by the
-# code, and only a chunk that needs its single steps is expanded.
+# Both scans read the steps sixteen at a time, as `_Steps.codes`; per-chunk
+# facts come from tables indexed by the code, and only a chunk that needs
+# its single steps is expanded.
 
 _BITS = np.arange(16, dtype=np.uint16)
-
-
-def _codes(words: np.ndarray) -> np.ndarray:
-    """uint16 codes of the 16-step chunks held along the last axis of `words`.
-
-    The last axis must hold a multiple of 8 words.  A step is +1 where bit
-    31 of its 32-bit half is set, as `_Steps` defines, and byte pairs are
-    joined with a shift rather than a uint16 view, which would swap them on
-    a big-endian host.
-    """
-    plus = words.view(np.uint32) >= 1 << 31
-    packed = np.packbits(plus, axis=-1, bitorder="little")
-    return packed[..., 0::2] | packed[..., 1::2].astype(np.uint16) << 8
 
 
 @cache
@@ -245,6 +240,10 @@ def _expand(codes, x, mx, mn, dr):
 
 
 def _check_trials(n: int, seed: int) -> None:
+    for name, value in (("n", n), ("seed", seed)):
+        if not isinstance(value, Integral):
+            # A fractional seed would alias the integer it truncates to.
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if seed < 0:
@@ -336,10 +335,7 @@ def _run_chunk(
         walking = []
         for a in range(0, live.size, batch):
             idx = live[a : a + batch]
-            words = np.empty((idx.size, block // 2), dtype=np.uint64)
-            for r, trial in enumerate(idx.tolist()):
-                words[r] = stream.words(lo + trial, walked, block // 2)
-            codes = _codes(words)
+            codes = stream.codes((lo + idx).tolist(), walked, block // 16)
             disp, up, down, dd, ri = np.take(_chunk_tables(), codes, axis=1)
             # Column c of x, mx, mn and dr is the state at the start of
             # chunk c; the last column is the state at the block's end.
@@ -589,6 +585,8 @@ class GofResult:
 
 def _finite_sample(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} is empty")
     if np.isnan(arr).any():
@@ -712,10 +710,7 @@ def _fixed_time_chunk(
     batch = max(1, _BATCH_STEPS // (16 * n_chunks))
     for a in range(0, m, batch):
         b = min(a + batch, m)
-        words = np.empty((b - a, 8 * n_chunks), dtype=np.uint64)
-        for r in range(b - a):
-            words[r] = stream.words(lo + a + r, 0, 8 * n_chunks)
-        codes = _codes(words)
+        codes = stream.codes(range(lo + a, lo + b), 0, n_chunks)
         disp, up, down = np.take(_chunk_tables()[:3], codes, axis=1)
         xs = _scan(0, disp, np.add)
         xa = xs[:, q]

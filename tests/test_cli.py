@@ -419,12 +419,19 @@ def test_dp_assert_compares_with_lattice_gap_payoff(argv, payoff, monkeypatch, c
 
 
 def test_dp_assert_has_no_value_target_below_two_cells(capsys):
-    # k = round(1/(2ch)) = 1: stopping after one step, worth h - ch^2 = 0.08,
-    # beats every gap threshold, the best of which pays 0.
-    argv = ["dp", "--c", "3", "--h", "0.2", "--cap", "20", "--no-meta", "--assert"]
-    code, out, err = run_cli(argv, capsys)
-    assert code == 0 and err == ""
-    assert json.loads(out)["results"]["value_origin"] == pytest.approx(0.08)
+    cases = [
+        # 1/(2ch) = 0.83: stopping after one step, worth h - ch^2 = 0.08,
+        # beats every gap threshold, the best of which pays 0.
+        (["--c", "3", "--h", "0.2", "--cap", "20"], 0.08),
+        # 1/(2ch) = 1.67 rounds to k = 2, yet the value 0.47906 lies 6.5%
+        # above the best gap payoff 0.45.
+        (["--c", "1", "--h", "0.3", "--cap", "10"], 0.47906),
+    ]
+    for argv, value in cases:
+        code, out, err = run_cli(["dp", *argv, "--no-meta"], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["results"]["value_origin"] == pytest.approx(value, abs=5e-6)
+        assert run_cli(["dp", *argv, "--no-meta", "--assert"], capsys) == (0, out, "")
 
 
 def test_sweep_assert_fails_when_ci_misses_lattice_payoff(monkeypatch, capsys):

@@ -43,19 +43,18 @@ for command in commands:
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 assert not loaded, f"a scipy-free command loaded {loaded[:3]}"
 
-try:
-    walkstop.gof_test(np.arange(4.0), walkstop.Empirical(values=np.array([1.0, np.nan])))
-except ValueError:
-    pass
-else:
-    raise AssertionError("a NaN reference sample was accepted")
-
-try:
-    walkstop.gof_test(np.array([0.5, 1.5, -1.0] * 50), walkstop.VShape(hdiam=2))
-except ValueError:
-    pass
-else:
-    raise AssertionError("an off-lattice VShape sample was accepted")
+rejected = {
+    "a NaN reference sample": (np.arange(4.0), walkstop.Empirical(values=np.array([1.0, np.nan]))),
+    "an off-lattice VShape sample": (np.array([0.5, 1.5, -1.0] * 50), walkstop.VShape(hdiam=2)),
+    "a 2-D sample": (np.arange(20.0).reshape(4, 5) + 1, walkstop.Exponential(mean=2.0)),
+}
+for what, (sample, target) in rejected.items():
+    try:
+        walkstop.gof_test(sample, target)
+    except ValueError:
+        pass
+    else:
+        raise AssertionError(f"{what} was accepted")
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 assert not loaded, f"a rejected input loaded {loaded[:3]}"
 
@@ -164,6 +163,29 @@ def test_optimal_threshold_is_written_once():
             if "1.0 / (2.0 * c)" in line:
                 found.append((path.name, owner))
     assert found == [("exact_walk.py", "closed_forms"), ("q_process.py", "optimal")]
+
+
+def test_philox_stream_is_read_only_in_steps():
+    """The step format has one home, `mc_harness._Steps`: across the package
+    only it builds a Philox bit generator, writes its key or counter or
+    calls `random_raw`, and the scans see 16-step codes alone."""
+    owners, names = [], set()
+    for path in sorted(Path(walkstop.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                word = next(
+                    (getattr(node, f) for f in ("attr", "id", "name") if hasattr(node, f)), None
+                )
+                names.add(word)
+                if word in {"Philox", "random_raw", "_key", "_counter"}:
+                    owners.append((path.name, getattr(top, "name", "<module>"), word))
+    assert sorted(set(owners)) == [
+        ("mc_harness.py", "_Steps", "Philox"),
+        ("mc_harness.py", "_Steps", "_counter"),
+        ("mc_harness.py", "_Steps", "_key"),
+        ("mc_harness.py", "_Steps", "random_raw"),
+    ]
+    assert "_codes" not in names
 
 
 def test_block_hint_callers_are_run_chunk_and_run_until_stop():

@@ -45,7 +45,6 @@ from walkstop.mc_harness import (
     _CHUNK,
     _Steps,
     _chunk_tables,
-    _codes,
     _run_chunk,
 )
 from walkstop.stopping_rules import _RULES, default_max_steps, rule_units, run_until_stop
@@ -61,9 +60,9 @@ def _philox_stream(seed: int, trial: int) -> np.random.Generator:
 
 def _signs(stream: _Steps, trial: int, start: int, length: int) -> np.ndarray:
     """Steps start .. start + length - 1 of the trial as int64 +-1."""
-    words = stream.words(trial, start, (length + 1) // 2)
-    steps = (words.view(np.uint32) >> 31)[:length].astype(np.int64)
-    return 2 * steps - 1
+    codes = stream.codes([trial], start, -(-length // 16))
+    steps = ((codes[0, :, None] >> np.arange(16)) & 1).ravel()[:length]
+    return 2 * steps.astype(np.int64) - 1
 
 
 def se_of(stats) -> float:
@@ -295,6 +294,11 @@ def test_gof_rejects_degenerate_input():
         gof_test(sample, Empirical(values=np.array([1.0, np.nan, 2.0, 5.0])))
     with pytest.raises(ValueError, match="reference sample is empty"):
         gof_test(sample, Empirical(values=np.array([])))
+    grid = np.arange(20.0).reshape(4, 5) + 1
+    with pytest.raises(ValueError, match="sample must be one-dimensional"):
+        gof_test(grid, Exponential(mean=2.0))
+    with pytest.raises(ValueError, match="reference sample must be one-dimensional"):
+        gof_test(sample, Empirical(values=grid))
 
 
 def test_gof_target_validation():
@@ -505,6 +509,31 @@ def test_seeds_beyond_64_bits_rejected():
     assert not np.array_equal(top.values["stop_time"], low.values["stop_time"])
 
 
+@pytest.mark.parametrize("n, seed", [(50, 1.5), (50, 7.9), (10.0, 3), (50, np.float64(2.0))])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda n, seed: collect_rewards(Gap(1.0), ("stop_time",), LatticeSpec(h=0.25), n, seed),
+        lambda n, seed: sweep_payoff(1.0, [0.5], LatticeSpec(h=0.25), n, seed),
+        lambda n, seed: drift_check(1.0, 1.0, n, seed, (0.0, 1.0)),
+        lambda n, seed: levy_samples(1.0, LatticeSpec(h=0.25), n, seed),
+    ],
+    ids=["collect_rewards", "sweep_payoff", "drift_check", "levy_samples"],
+)
+def test_fractional_seed_or_n_rejected(run, n, seed):
+    """A float seed would alias the integer the 64-bit key truncates it to."""
+    name = "n" if isinstance(n, float) else "seed"
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        run(n, seed)
+
+
+def test_numpy_integer_seed_and_n_accepted():
+    spec = LatticeSpec(h=0.25)
+    want = collect_rewards(Gap(1.0), ("stop_time",), spec, 50, 7)
+    got = collect_rewards(Gap(1.0), ("stop_time",), spec, np.int64(50), np.uint64(7))
+    assert np.array_equal(got.values["stop_time"], want.values["stop_time"])
+
+
 # --- batched engine, raw-bit stream and pool size -------------------------------------
 
 def test_step_stream_matches_generator_integers():
@@ -513,12 +542,13 @@ def test_step_stream_matches_generator_integers():
     for seed, trial in ((0, 0), (5, 3), (2**64 - 1, 7), (11, 2**32), (2**64 - 1, 2**64 - 1)):
         stream = _Steps(seed)
         ref = 2 * _philox_stream(seed, trial).integers(0, 2, size=2101, dtype=np.int64) - 1
-        for start, length in ((0, 1), (0, 7), (0, 2101), (8, 13), (16, 1), (1024, 1077)):
+        for start, length in ((0, 1), (0, 7), (0, 2101), (16, 13), (32, 1), (1024, 1077)):
             steps = _signs(stream, trial, start, length)
             assert steps.dtype == np.int64
             assert np.array_equal(steps, ref[start : start + length])
-    with pytest.raises(ValueError, match="multiple of 8"):
-        _signs(_Steps(0), 0, 4, 10)
+    for start in (4, 8, 24):
+        with pytest.raises(ValueError, match="multiple of 16"):
+            _signs(_Steps(0), 0, start, 10)
 
 
 def _reference_rewards(rule, spec, n, seed, max_steps):
@@ -724,14 +754,17 @@ def test_chunk_tables_match_expanded_steps():
 
 
 def test_chunk_codes_hold_the_stream_steps():
+    """A sub-batch's codes are its trials' own, chunk j's step i in bit i."""
     stream = _Steps(5)
-    for trial in (0, 3, 2**40):
-        codes = _codes(stream.words(trial, 16, 40))
-        assert codes.dtype == np.uint16 and codes.shape == (5,)
-        bits = ((codes[:, None] >> np.arange(16)) & 1).astype(np.int64)
-        assert np.array_equal(2 * bits.ravel() - 1, _signs(stream, trial, 16, 80))
-    words = np.stack([stream.words(t, 0, 16) for t in range(3)])
-    assert np.array_equal(_codes(words), np.stack([_codes(w) for w in words]))
+    trials = [0, 3, 2**40, 2**64 - 1]
+    codes = stream.codes(trials, 16, 5)
+    assert codes.dtype == np.uint16 and codes.shape == (4, 5)
+    for row, trial in zip(codes, trials):
+        ref = 2 * _philox_stream(5, trial).integers(0, 2, size=96, dtype=np.int64) - 1
+        bits = ((row[:, None] >> np.arange(16)) & 1).astype(np.int64)
+        assert np.array_equal(2 * bits.ravel() - 1, ref[16:])
+        assert np.array_equal(row, stream.codes([trial], 16, 5)[0])
+    assert np.array_equal(stream.codes(trials, 0, 6)[:, 1:], codes)
 
 
 def _chunk_walk(codes, x, mx, mn, dr):
