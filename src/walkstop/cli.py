@@ -32,10 +32,10 @@ from .mc_harness import (
     Uniform,
     VShape,
     collect_rewards,
-    estimate,
     gof_test,
     levy_samples,
-    ratio_report,
+    ratio_report_from,
+    stats_from_sample,
     sweep_payoff,
 )
 from .path_engine import LatticeError, LatticeSpec, _require_positive
@@ -186,7 +186,8 @@ def _cmd_simulate(args):
     scale = max(abs(value) for value in values)
     h = args.h if args.h is not None else scale / 20.0
     spec = LatticeSpec(h=h)
-    st = estimate(rule, args.reward, spec, args.trials, args.seed, args.workers)
+    run = collect_rewards(rule, (args.reward,), spec, args.trials, args.seed, args.workers)
+    st = stats_from_sample(run.values[args.reward])
     params = {
         "rule": args.rule,
         "d": args.d if "d" in row.fields else None,
@@ -220,7 +221,10 @@ def _cmd_bounds(args):
     for key, (kind, lo, hi) in _BOUNDS_WINDOWS.items():
         row = _RULES[kind]
         rule = row.cls(args.d)
-        rep = ratio_report(rule, row.reward, spec, args.trials, args.seed, args.workers)
+        run = collect_rewards(
+            rule, (row.reward, "terminal_sq"), spec, args.trials, args.seed, args.workers
+        )
+        rep = ratio_report_from(run, row.reward)
         results[key] = _ratio_dict(rep)
         censored += rep.reward_mean.censored
         se = (rep.ratio_ci[1] - rep.ratio_ci[0]) / (2.0 * Z99)

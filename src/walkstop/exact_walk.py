@@ -16,12 +16,11 @@ how far the DP value lies below the uncapped lattice value.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .path_engine import LatticeSpec, _require_positive
+from .path_engine import LatticeSpec, _require_int, _require_positive
 from .stopping_rules import _RULES, StopRule, rule_units
 
 __all__ = [
@@ -65,9 +64,6 @@ def absorption_pmf_oracle(hdiam: int) -> dict[int, float]:
     layer up to diameter hdiam, where each exit is a terminal position.
     """
     k = _unit_hdiam(hdiam)
-    if k > 12:
-        raise ValueError(f"hdiam must be an integer in [1, 12], got {hdiam}")
-
     mass = np.zeros((2, k))  # rows: entered at the min, at the max
     mass[0, 0] = 1.0
     for d in range(k):
@@ -151,8 +147,7 @@ class WalkDP:
     def __post_init__(self) -> None:
         _require_positive(self.c, "c")
         _require_positive(self.h, "h")
-        if not isinstance(self.cap, numbers.Integral) or self.cap < 2:
-            raise ValueError(f"cap must be an integer >= 2, got {self.cap!r}")
+        _require_int(self.cap, "cap", 2)
         if self.cap * self.h < 3.0 / self.c - 1e-9:
             raise ValueError(
                 f"cap*h = {self.cap * self.h} must reach 3/c = {3.0 / self.c} "
@@ -231,13 +226,7 @@ def dp_solve(spec: WalkDP) -> DPSolution:
         layer = bowl[s, : s + 3] + _layer_majorant(y)
         np.maximum(layer[1:-1], s * h, out=rows[s, : s + 1])
         exit_value = rows[s, 0]
-    levels = np.arange(cap + 1, dtype=float)
-    stop_values = (levels[:, None] + levels[None, :]) * h
-    values = stop_values.copy()
+    stop = np.ones((cap + 1, cap + 1), dtype=bool)
     s, a = np.tril_indices(cap)
-    values[a, s - a] = rows[s, a]
-    return DPSolution(
-        value_origin=float(values[0, 0]),
-        stop_region=values <= stop_values + spec.tol,
-        iterations=cap,
-    )
+    stop[a, s - a] = rows[s, a] <= s * h + spec.tol
+    return DPSolution(value_origin=float(rows[0, 0]), stop_region=stop, iterations=cap)

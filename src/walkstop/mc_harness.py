@@ -23,12 +23,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
 from math import ceil, isfinite, sqrt
-from numbers import Integral
 
 import numpy as np
 
 from .exact_walk import _unit_hdiam, walk_diameter_pmf
-from .path_engine import LatticeError, LatticeSpec, _require_positive
+from .path_engine import LatticeError, LatticeSpec, _require_int, _require_positive
 from .q_process import QParams, q_value
 from .stopping_rules import (
     _RULES,
@@ -48,8 +47,6 @@ __all__ = [
     "CollectResult",
     "collect_rewards",
     "stats_from_sample",
-    "estimate",
-    "ratio_report",
     "ratio_report_from",
     "Exponential",
     "Uniform",
@@ -240,14 +237,8 @@ def _expand(codes, x, mx, mn, dr):
 
 
 def _check_trials(n: int, seed: int) -> None:
-    for name, value in (("n", n), ("seed", seed)):
-        if not isinstance(value, Integral):
-            # A fractional seed would alias the integer it truncates to.
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _require_int(n, "n", 1)
+    _require_int(seed, "seed", 0)
     if seed >= 2**64:
         # The stream key holds 64 bits; a larger seed would alias a smaller one.
         raise ValueError(f"seed must be below 2**64, got {seed}")
@@ -274,8 +265,7 @@ def _map_trials(fn, n: int, workers: int, *args) -> tuple[np.ndarray, ...]:
     Workers beyond the CPUs this process may use would only queue, so
     `workers` is capped at that count.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _require_int(workers, "workers", 1)
     workers = min(workers, _usable_cpus())
     parts = workers * ceil(n / (workers * _CHUNK))
     cuts = [i * n // parts for i in range(parts + 1)]
@@ -426,7 +416,9 @@ def collect_rewards(
 
     One underlying run serves any subset of REWARD_NAMES, so quantities that
     must be compared (reward vs terminal second moment, diameter vs stop
-    time) come from the same paths.
+    time) come from the same paths.  `stats_from_sample` summarizes one
+    reward; `ratio_report_from` its ratio to sqrt(E[terminal_sq]), from a
+    run that also collects "terminal_sq".
     """
     rewards = tuple(rewards)
     if not rewards:
@@ -440,8 +432,7 @@ def collect_rewards(
 
     if max_steps is None:
         max_steps = default_max_steps(rule, spec)
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    _require_int(max_steps, "max_steps", 1)
     fired, *arrays = _map_trials(
         _run_chunk, n, workers, (rule,), (max_steps,), spec, seed, rewards
     )
@@ -474,20 +465,6 @@ def stats_from_sample(sample) -> TrialStats:
     )
 
 
-def estimate(
-    rule: StopRule,
-    reward: str,
-    spec: LatticeSpec,
-    n: int,
-    seed: int,
-    workers: int = 1,
-    max_steps: int | None = None,
-) -> TrialStats:
-    """Monte Carlo estimate of one reward under one stopping rule."""
-    result = collect_rewards(rule, (reward,), spec, n, seed, workers, max_steps)
-    return stats_from_sample(result.values[reward])
-
-
 def ratio_report_from(result: CollectResult, reward: str) -> RatioReport:
     """Ratio statistics computed from an existing collection.
 
@@ -517,20 +494,6 @@ def ratio_report_from(result: CollectResult, reward: str) -> RatioReport:
         ratio=ratio,
         ratio_ci=(ratio - Z99 * se, ratio + Z99 * se),
     )
-
-
-def ratio_report(
-    rule: StopRule,
-    reward: str,
-    spec: LatticeSpec,
-    n: int,
-    seed: int,
-    workers: int = 1,
-) -> RatioReport:
-    """Reward-to-terminal-standard-deviation ratio for a rule, with 99% CI."""
-    names = (reward,) if reward == "terminal_sq" else (reward, "terminal_sq")
-    result = collect_rewards(rule, names, spec, n, seed, workers)
-    return ratio_report_from(result, reward)
 
 
 # --- goodness of fit -------------------------------------------------------
@@ -767,8 +730,7 @@ def drift_check(
     params = QParams.optimal(c)
     if not (horizon > 0.0):
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _require_int(n, "n", 2)
     _check_trials(n, seed)
     d = params.d
     if spec is None:

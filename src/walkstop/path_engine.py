@@ -10,6 +10,7 @@ suprema of the drop process (run_max - x) and rise process (x - run_min).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = ["LatticeError", "LatticeSpec", "PathState", "init_state", "advance"]
@@ -22,6 +23,14 @@ class LatticeError(ValueError):
 def _require_positive(value: float, name: str) -> None:
     if not (0.0 < value < math.inf):
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _require_int(value, name: str, low: int) -> None:
+    # A float count would be truncated (a seed aliased) or fail deep inside.
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)

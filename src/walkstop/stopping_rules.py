@@ -23,7 +23,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .path_engine import LatticeSpec, PathState, _require_positive
+from .path_engine import LatticeSpec, PathState, _require_int, _require_positive
 
 __all__ = [
     "Drawdown",
@@ -279,8 +279,7 @@ def run_until_stop(
     kind, k, klo, khi = rule_units(rule, spec)
     if max_steps is None:
         max_steps = _guard(k, klo, khi)
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    _require_int(max_steps, "max_steps", 1)
 
     # The batched engine's schedule, without its rounding to 16: the steps
     # drawn past the firing step are used up from `stream`, so the schedule

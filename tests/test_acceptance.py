@@ -39,7 +39,6 @@ from walkstop.mc_harness import (
     drift_check,
     gof_test,
     levy_samples,
-    ratio_report,
     ratio_report_from,
     stats_from_sample,
     sweep_payoff,
@@ -148,7 +147,8 @@ def test_criterion_03_sqrt3_ratio_and_maximality(gap_run):
     worst_name, worst_excess = "", -math.inf
     all_below = True
     for name, rule in others.items():
-        other = ratio_report(rule, "diameter", spec, 20_000, 103)
+        run = collect_rewards(rule, ("diameter", "terminal_sq"), spec, 20_000, 103)
+        other = ratio_report_from(run, "diameter")
         excess = other.ratio - (SQRT3 + 3.0 * ratio_se(other))
         if excess > worst_excess:
             worst_name, worst_excess = name, excess
@@ -173,7 +173,8 @@ def test_criterion_04_sqrt2_drop_ratio(dropdd_run):
 
 def test_criterion_05_running_max_ratio_one():
     spec = LatticeSpec(h=1.0 / 40.0)
-    rep = ratio_report(Drawdown(1.0), "max", spec, 100_000, 401)
+    run = collect_rewards(Drawdown(1.0), ("max", "terminal_sq"), spec, 100_000, 401)
+    rep = ratio_report_from(run, "max")
     ok = 0.97 <= rep.ratio <= 1.03
     assert report(
         5, ok, f"Drawdown(1) max/terminal ratio {rep.ratio:.5f} in [0.97, 1.03] "
@@ -190,7 +191,10 @@ def test_absgap_attains_sqrt2_abs_bound():
     row = _RULES["absgap"]
     lattice = row.reward_mean(k, 0, 0) / math.sqrt(row.mean(k, 0, 0))
     assert lattice == pytest.approx(math.sqrt(4 * k / (2 * k + 1)), rel=1e-12)
-    rep = ratio_report(AbsGap(1.0), row.reward, LatticeSpec(h=1.0 / k), 100_000, 1601)
+    run = collect_rewards(
+        AbsGap(1.0), (row.reward, "terminal_sq"), LatticeSpec(h=1.0 / k), 100_000, 1601
+    )
+    rep = ratio_report_from(run, row.reward)
     assert rep.reward_mean.censored == 0
     assert rep.ratio_ci[0] <= lattice <= rep.ratio_ci[1], (rep.ratio_ci, lattice)
 

@@ -275,9 +275,9 @@ def test_sweep_assert_failure_exits_2_after_output(capsys):
 @pytest.mark.parametrize("ratio", [5.0, math.nan])
 def test_bounds_assert_fails_outside_window_and_lattice_band(ratio, monkeypatch, capsys):
     def off(*args):
-        return dataclasses.replace(mc_harness.ratio_report(*args), ratio=ratio)
+        return dataclasses.replace(mc_harness.ratio_report_from(*args), ratio=ratio)
 
-    monkeypatch.setattr(cli, "ratio_report", off)
+    monkeypatch.setattr(cli, "ratio_report_from", off)
     code, out, err = run_cli(
         ["bounds", "--h", "0.25", "--trials", "200", "--no-meta", "--assert"], capsys
     )

@@ -109,8 +109,11 @@ def test_layered_oracle_matches_dense_solve():
 def test_absorption_oracle_bounds():
     with pytest.raises(ValueError):
         absorption_pmf_oracle(0)
-    with pytest.raises(ValueError):
-        absorption_pmf_oracle(13)
+    # No upper limit: the layered solve stays exact and cheap at large hdiam.
+    for k in (40, 100):
+        pmf, oracle = walk_diameter_pmf(k), absorption_pmf_oracle(k)
+        assert list(oracle) == sorted(pmf)
+        assert max(abs(oracle[x] - pmf[x]) for x in pmf) <= 1e-12
 
 
 # --- exact mean step counts ----------------------------------------------------
@@ -249,8 +252,10 @@ def test_walkdp_validation():
     with pytest.raises(ValueError):
         WalkDP(c=1.0, h=0.1, cap=100, tol=math.inf)
     # an integral float cap used to pass here and fail inside dp_solve
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cap must be an integer, got 60.0$"):
         WalkDP(c=1.0, h=0.05, cap=60.0, tol=1e-8)
+    with pytest.raises(ValueError, match="^cap must be >= 2, got 1$"):
+        WalkDP(c=1.0, h=5.0, cap=1, tol=1e-8)
     assert WalkDP(c=1.0, h=0.05, cap=np.int64(60), tol=1e-8).cap == 60
 
 

@@ -114,7 +114,7 @@ _PUBLIC = {
     "exact_walk": "walk_diameter_pmf absorption_pmf_oracle exact_stop_steps closed_forms"
     " WalkDP DPSolution dp_solve",
     "mc_harness": "Z99 REWARD_NAMES TrialStats RatioReport CollectResult collect_rewards"
-    " stats_from_sample estimate ratio_report ratio_report_from Exponential Uniform"
+    " stats_from_sample ratio_report_from Exponential Uniform"
     " VShape Empirical GofResult gof_test DriftRow DriftReport drift_check"
     " levy_samples SweepPoint SweepResult sweep_payoff",
 }
@@ -129,7 +129,7 @@ def test_public_names_are_declared_once_per_submodule():
         for name in module.__all__:
             assert getattr(walkstop, name) is getattr(module, name), name
     expected = {n for group in _PUBLIC.values() for n in group.split()}
-    assert len(expected) == 53
+    assert len(expected) == 51
     assert set(names) == {"__version__"} | expected
 
 
@@ -148,6 +148,18 @@ def test_positivity_check_is_written_once():
             if check.search(line):
                 found.append((path.name, owner))
     assert found == [("path_engine.py", "_require_positive")]
+
+
+def test_integer_check_is_written_once():
+    """Every count argument (n, seed, workers, max_steps, cap) is checked by
+    `path_engine._require_int`: across the package only it names `Integral`."""
+    owners = []
+    for path in sorted(Path(walkstop.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if "Integral" in (getattr(node, f, None) for f in ("attr", "id", "name")):
+                    owners.append((path.name, getattr(top, "name", "<module>")))
+    assert owners == [("path_engine.py", "_require_int")]
 
 
 def test_optimal_threshold_is_written_once():

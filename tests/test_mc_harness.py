@@ -3,6 +3,7 @@ workers, censoring accounting, the goodness-of-fit battery, and ratio CIs."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,13 +27,11 @@ from walkstop import (
     absorption_pmf_oracle,
     collect_rewards,
     drift_check,
-    estimate,
     exact_stop_steps,
     gof_test,
     levy_samples,
     q_value,
     QParams,
-    ratio_report,
     ratio_report_from,
     stats_from_sample,
     sweep_payoff,
@@ -83,7 +82,8 @@ def se_of(stats) -> float:
     ],
 )
 def test_estimate_matches_exact_steps(rule, exact_steps):
-    st = estimate(rule, "stop_time", UNIT, 30_000, seed=9)
+    run = collect_rewards(rule, ("stop_time",), UNIT, 30_000, seed=9)
+    st = stats_from_sample(run.values["stop_time"])
     assert st.censored == 0
     assert abs(st.mean - exact_steps) <= 4 * se_of(st)
 
@@ -108,15 +108,17 @@ def test_means_match_rule_table(kind):
 
 
 def test_estimate_exact_unit_mean_rewards():
-    # E[max at drawdown firing] = d exactly, every h
-    st = estimate(Drawdown(1.0), "max", UNIT, 40_000, seed=13)
-    assert abs(st.mean - 1.0) <= 4 * se_of(st)
-    # diameter at Gap(d) firing: 3d exactly
-    st = estimate(Gap(1.0), "diameter", UNIT, 40_000, seed=14)
-    assert abs(st.mean - 3.0) <= 4 * se_of(st)
-    # |run_min| under the diameter rule: max + |min| = 2 and symmetry -> 1
-    st = estimate(DiameterReach(2.0), "min_abs", UNIT, 40_000, seed=15)
-    assert abs(st.mean - 1.0) <= 4 * se_of(st)
+    for rule, reward, seed, exact in (
+        # E[max at drawdown firing] = d exactly, every h
+        (Drawdown(1.0), "max", 13, 1.0),
+        # diameter at Gap(d) firing: 3d exactly
+        (Gap(1.0), "diameter", 14, 3.0),
+        # |run_min| under the diameter rule: max + |min| = 2 and symmetry -> 1
+        (DiameterReach(2.0), "min_abs", 15, 1.0),
+    ):
+        run = collect_rewards(rule, (reward,), UNIT, 40_000, seed)
+        st = stats_from_sample(run.values[reward])
+        assert abs(st.mean - exact) <= 4 * se_of(st)
     # |terminal| via the signed terminal reward: sum |x|*|x|/(k(k+1)) = 5/3
     run = collect_rewards(DiameterReach(2.0), ("terminal_x",), UNIT, 40_000, 15)
     st = stats_from_sample(np.abs(run.values["terminal_x"]))
@@ -186,9 +188,6 @@ def test_censoring_accounting():
     # generous guard: nothing censored
     run = collect_rewards(Gap(1.0), ("stop_time",), UNIT, 300, 5, max_steps=4000)
     assert run.censored == 0 and run.n == 300 and run.fired.all()
-    # estimate() goes through the same summary path
-    with pytest.raises(ValueError, match="all censored"):
-        estimate(Gap(1.0), "stop_time", UNIT, 200, 5, max_steps=2)
 
 
 def test_partial_censoring_excludes_only_unfired():
@@ -247,8 +246,6 @@ def test_ratio_report_matches_manual_computation():
     rep = ratio_report_from(run, "diameter")
     d, q = run.values["diameter"], run.values["terminal_sq"]
     assert rep.ratio == pytest.approx(d.mean() / math.sqrt(q.mean()), rel=1e-12)
-    rep2 = ratio_report(Gap(1.0), "diameter", UNIT, 4000, 31)
-    assert rep2.ratio == rep.ratio and rep2.ratio_ci == rep.ratio_ci
 
 
 # --- goodness-of-fit battery -----------------------------------------------------------
@@ -421,7 +418,7 @@ def test_sweep_uses_common_random_numbers():
 
 
 def test_estimate_seed_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         collect_rewards(Gap(1.0), ("max",), UNIT, 100, -1)
 
 
@@ -956,14 +953,17 @@ def test_blocks_capped_small_match_the_default_schedule(monkeypatch):
 
 def test_library_fan_out_rejects_fewer_than_one_worker():
     spec = LatticeSpec(h=0.25)
-    for workers in (0, -2):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
+    # A fractional count used to fail deep in the fan-out with a TypeError.
+    for workers, message in ((0, "must be >= 1, got 0"), (-2, "must be >= 1, got -2"),
+                             (1.5, "must be an integer, got 1.5")):
+        match = f"^workers {re.escape(message)}$"
+        with pytest.raises(ValueError, match=match):
             collect_rewards(Gap(1.0), ("max",), spec, 10, 1, workers=workers)
-        with pytest.raises(ValueError, match="workers must be >= 1"):
+        with pytest.raises(ValueError, match=match):
             levy_samples(1.0, spec, 10, 1, workers=workers)
-        with pytest.raises(ValueError, match="workers must be >= 1"):
+        with pytest.raises(ValueError, match=match):
             drift_check(1.0, 1.0, 10, 1, (0.0, 1.0), spec=spec, workers=workers)
-        with pytest.raises(ValueError, match="workers must be >= 1"):
+        with pytest.raises(ValueError, match=match):
             sweep_payoff(1.0, [0.5], spec, 10, 1, workers=workers)
 
 
@@ -971,8 +971,9 @@ def test_collect_rewards_rejects_nonpositive_max_steps():
     for bad in (0, -5):
         with pytest.raises(ValueError, match="max_steps must be >= 1"):
             collect_rewards(Gap(1.0), ("stop_time",), UNIT, 10, 3, max_steps=bad)
-        with pytest.raises(ValueError, match="max_steps must be >= 1"):
-            estimate(Gap(1.0), "stop_time", UNIT, 10, 3, max_steps=bad)
+    # A fractional guard used to run silently as its integer part.
+    with pytest.raises(ValueError, match="^max_steps must be an integer, got 20.5$"):
+        collect_rewards(Gap(1.0), ("stop_time",), UNIT, 10, 3, max_steps=20.5)
 
 
 def test_pool_is_capped_at_usable_cpus(monkeypatch):
@@ -1030,6 +1031,8 @@ NO_VARIANCE = CollectResult(
          ValueError, "horizon must be positive, got 0.0"),
         (lambda: drift_check(1.0, 1.0, 1, 0, (0.0, 1.0)),
          ValueError, "n must be >= 2, got 1"),
+        (lambda: drift_check(1.0, 1.0, 1.5, 0, (0.0, 1.0)),
+         ValueError, "n must be an integer, got 1.5"),
         # at h = 1/2 a step takes time 1/4, so 1e-12 rounds to 0 steps (at the
         # default h = 1/40 it is off the time lattice instead)
         (lambda: drift_check(1.0, 1e-12, 10, 0, (0.0, 1e-12), spec=LatticeSpec(h=0.5)),

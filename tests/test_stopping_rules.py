@@ -341,6 +341,8 @@ NOT_A_RULE = object()
         (lambda: rule_units(NOT_A_RULE, UNIT), TypeError, f"unknown rule {NOT_A_RULE!r}"),
         (lambda: run_until_stop(Gap(1.0), UNIT, np.random.default_rng(0), max_steps=0),
          ValueError, "max_steps must be >= 1, got 0"),
+        (lambda: run_until_stop(Gap(1.0), UNIT, np.random.default_rng(0), max_steps=20.5),
+         ValueError, "max_steps must be an integer, got 20.5"),
     ],
 )
 def test_rejections_name_the_bad_input(call, error, message):
