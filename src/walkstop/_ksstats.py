@@ -1,4 +1,4 @@
-"""Kolmogorov-Smirnov tests on scipy.special alone.
+"""Kolmogorov-Smirnov tests without scipy.stats, on scipy.special at most.
 
 `gof_test`'s three KS tests need two laws: the Kolmogorov limit, which is
 scipy.special.kolmogorov, and the finite-n two-sided law of D_n, which
@@ -11,6 +11,14 @@ the branches that path never reaches left out, so every result is equal
 to scipy's bit for bit.  `ks_1samp` and `ks_2samp` are scipy.stats'
 two-sided tests with method="asymp", and `expon_cdf` and `uniform_cdf` are
 the standard laws' CDFs as rv_continuous.cdf evaluates them.
+
+scipy.special is imported by the calls that use it, never when this module
+loads: `ks_1samp` for kolmogorov, `expon_cdf` for expm1, and `_two_smirnov`
+for the branches of the finite-n law that take 2 * smirnov.  The other
+branches are numpy, so a two-sample test whose statistic stays below the
+smirnov cuts loads no scipy module.  Those cuts are D >= 1/2, and n * D**2
+above 4 for n <= 140 or at least 2.2 for larger n, where p is below about
+0.025.
 
 The kernels below are derived from SciPy, under this notice:
 
@@ -51,7 +59,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.special
 
 _E128 = 128
 _EP128 = np.ldexp(np.longdouble(1), _E128)
@@ -288,6 +295,15 @@ def _kolmogn_PelzGood(n, x):
     return Ksum
 
 
+def _two_smirnov(n, x):
+    """2 * scipy.special.smirnov(n, x), clipped: the exact one-sided tail
+    doubled.  scipy.special loads here, on the first statistic that needs
+    it, so a two-sample test below every smirnov cut runs on numpy alone."""
+    from scipy.special import smirnov
+
+    return _clip_prob(2 * smirnov(n, x))
+
+
 def _kolmogn_sf(n, x):
     """Pr(D_n > x) for integer n and 1/(2n) < x < 1 (Simard & L'Ecuyer)."""
     t = n * x
@@ -301,8 +317,7 @@ def _kolmogn_sf(n, x):
         prob = 2 * (1.0 - x)**n
         return _clip_prob(prob)
     if x >= 0.5:  # Exact: 2 * smirnov
-        prob = 2 * scipy.special.smirnov(n, x)
-        return _clip_prob(prob)
+        return _two_smirnov(n, x)
 
     nxsquared = t * x
     if n <= 140:
@@ -313,14 +328,12 @@ def _kolmogn_sf(n, x):
             prob = _kolmogn_Pomeranz(n, x)
             return _clip_prob(1.0 - prob)
         # Now use Miller approximation of 2*smirnov
-        prob = 2 * scipy.special.smirnov(n, x)
-        return _clip_prob(prob)
+        return _two_smirnov(n, x)
 
     if nxsquared >= 370.0:
         return 0.0
     if nxsquared >= 2.2:
-        prob = 2 * scipy.special.smirnov(n, x)
-        return _clip_prob(prob)
+        return _two_smirnov(n, x)
     if n <= 100000 and n * x**1.5 <= 1.4:
         cdfprob = _kolmogn_DMTW(n, x)
     else:
@@ -354,7 +367,9 @@ def _standard_cdf(u, b, inside):
 
 def expon_cdf(u):
     """scipy.stats.expon.cdf(u) on a sample standardized by the mean."""
-    return _standard_cdf(u, np.inf, lambda v: -scipy.special.expm1(-v))
+    from scipy.special import expm1
+
+    return _standard_cdf(u, np.inf, lambda v: -expm1(-v))
 
 
 def uniform_cdf(u):
@@ -371,8 +386,10 @@ def ks_1samp(u, cdf) -> tuple[float, float]:
     d_plus = (np.arange(1.0, n + 1) / n - cdfvals).max()
     d_minus = (cdfvals - np.arange(0.0, n) / n).max()
     d = d_plus if d_plus > d_minus else d_minus
+    from scipy.special import kolmogorov
+
     # d >= 1/(2n) > 0, so kstwobign.sf's cut at 0 never applies.
-    return float(d), float(_clip_prob(scipy.special.kolmogorov(d * math.sqrt(n))))
+    return float(d), float(_clip_prob(kolmogorov(d * math.sqrt(n))))
 
 
 def ks_2samp(x, y) -> tuple[float, float]:

@@ -19,7 +19,6 @@ splits, are expanded to single steps.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
 from math import ceil, isfinite, sqrt
@@ -263,7 +262,9 @@ def _map_trials(fn, n: int, workers: int, *args) -> tuple[np.ndarray, ...]:
     Trials are split into equal contiguous chunks of at most _CHUNK, their
     count a multiple of `workers` so every worker gets the same share.
     Workers beyond the CPUs this process may use would only queue, so
-    `workers` is capped at that count.
+    `workers` is capped at that count.  One worker runs the chunks in this
+    process; only more than one imports the process pool, so a serial run
+    never loads multiprocessing.
     """
     _require_int(workers, "workers", 1)
     workers = min(workers, _usable_cpus())
@@ -273,6 +274,8 @@ def _map_trials(fn, n: int, workers: int, *args) -> tuple[np.ndarray, ...]:
     if workers == 1:
         results = [_trial_task(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_trial_task, tasks))
     return tuple(np.concatenate(arrays) for arrays in zip(*results))
@@ -443,9 +446,12 @@ def collect_rewards(
 def stats_from_sample(sample) -> TrialStats:
     """Pooled moments of a sample; NaN entries count as censored trials.
 
-    At least two trials must contribute: one gives no variance, so no interval.
+    At least two trials must contribute: one gives no variance, so no
+    interval.  An infinite entry is no trial's value and is rejected.
     """
     arr = np.asarray(sample, dtype=float)
+    if np.isinf(arr).any():
+        raise ValueError("sample contains an infinite value")
     finite = arr[~np.isnan(arr)]
     m = int(finite.size)
     if m < 1:
@@ -554,6 +560,8 @@ def _finite_sample(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} is empty")
     if np.isnan(arr).any():
         raise ValueError(f"{name} contains NaN (censored trials must be excluded)")
+    if np.isinf(arr).any():
+        raise ValueError(f"{name} contains an infinite value")
     return arr
 
 
@@ -567,10 +575,13 @@ def gof_test(sample, target) -> GofResult:
     VShape: Pearson's chi-square on the counts of each support point, with
     the chi-square law's p-value on (support size - 1) degrees of freedom.
     Each result equals scipy.stats' (kstest and ks_2samp with
-    method="asymp", chisquare) bit for bit, but only scipy.special is
-    loaded: `_ksstats` ports the finite-n KS law, and scipy.stats is never
-    imported.  scipy.special is imported here, after the inputs are checked,
-    so nothing else in walkstop pays for loading it.
+    method="asymp", chisquare) bit for bit, but scipy.stats is never
+    imported: `_ksstats` ports the finite-n KS law.  scipy.special loads
+    only after the inputs are checked, and only where a p-value needs it:
+    always for VShape, Exponential and Uniform, and for Empirical only when
+    the statistic reaches a branch of the finite-n law that takes smirnov
+    (D >= 1/2, or p below about 0.025 at large n).  Below that, the
+    two-sample test runs on numpy alone.
     """
     arr = _finite_sample(sample, "sample")
     if np.ptp(arr) == 0.0:
@@ -834,23 +845,30 @@ def sweep_payoff(
     unbiased while stabilizing comparisons across d.  Each path is walked
     once for the whole grid, as nested thresholds of the batched engine, up
     to the largest threshold; every point equals a separate
-    `collect_rewards` run of Gap(d) with its own guard.
+    `collect_rewards` run of Gap(d) with its own guard.  Two thresholds on
+    one lattice level would report one run twice, so they are rejected.
     """
     _require_positive(c, "c")
     grid = [float(d) for d in d_grid]
     if not grid:
         raise ValueError("d_grid is empty")
     _check_trials(n, seed)
-    point_ks = [rule_units(Gap(d), spec)[1] for d in grid]
-    rules = dict(zip(point_ks, map(Gap, grid)))
-    ks = sorted(rules)
-    chain = tuple(rules[k] for k in ks)
+    level = {}  # each threshold's lattice level -> the threshold
+    for d in grid:
+        k = rule_units(Gap(d), spec)[1]
+        if k in level:
+            raise ValueError(
+                f"d_grid values {level[k]} and {d} share the lattice level {k} (h = {spec.h})"
+            )
+        level[k] = d
+    ks = sorted(level)
+    chain = tuple(Gap(level[k]) for k in ks)
     guards = tuple(default_max_steps(rule, spec) for rule in chain)
     _, diameter, stop_time = _map_trials(
         _run_chunk, n, workers, chain, guards, spec, seed, ("diameter", "stop_time")
     )
     points = []
-    for d, k in zip(grid, point_ks):
+    for k, d in level.items():  # grid order
         i = ks.index(k)
         payoff = diameter[:, i] - c * stop_time[:, i]
         points.append(SweepPoint(d=d, payoff=stats_from_sample(payoff)))

@@ -30,6 +30,7 @@ from walkstop.exact_walk import (
     walk_diameter_pmf,
 )
 from walkstop.mc_harness import (
+    _usable_cpus,
     Empirical,
     Exponential,
     Uniform,
@@ -59,6 +60,10 @@ from walkstop.stopping_rules import (
 SQRT3 = math.sqrt(3.0)
 SQRT2 = math.sqrt(2.0)
 
+# Every long run uses each CPU this process may use.  Criterion 14's byte
+# identity across worker counts makes each verdict the same as a serial run.
+WORKERS = _usable_cpus()
+
 
 def report(num: int, ok: bool, detail: str) -> bool:
     print(f"CRITERION {num:02d} {'PASS' if ok else 'FAIL'}: {detail}")
@@ -81,7 +86,7 @@ def gap_run():
     """Gap(1) desk-scale run shared by criteria 1-3."""
     spec = LatticeSpec(h=1.0 / 40.0)
     return collect_rewards(
-        Gap(1.0), ("stop_time", "diameter", "terminal_sq"), spec, 100_000, 101
+        Gap(1.0), ("stop_time", "diameter", "terminal_sq"), spec, 100_000, 101, WORKERS
     )
 
 
@@ -100,13 +105,14 @@ def dropdd_run():
         spec,
         100_000,
         301,
+        WORKERS,
     )
 
 
 @pytest.fixture(scope="module")
 def drift_report():
     """Certificate drift run shared by both clauses of criterion 11."""
-    return drift_check(1.0, 4.0, 100_000, 1101, (0.0, 1.0, 2.0, 3.0, 4.0))
+    return drift_check(1.0, 4.0, 100_000, 1101, (0.0, 1.0, 2.0, 3.0, 4.0), workers=WORKERS)
 
 
 # --- criteria ----------------------------------------------------------------------
@@ -147,7 +153,7 @@ def test_criterion_03_sqrt3_ratio_and_maximality(gap_run):
     worst_name, worst_excess = "", -math.inf
     all_below = True
     for name, rule in others.items():
-        run = collect_rewards(rule, ("diameter", "terminal_sq"), spec, 20_000, 103)
+        run = collect_rewards(rule, ("diameter", "terminal_sq"), spec, 20_000, 103, WORKERS)
         other = ratio_report_from(run, "diameter")
         excess = other.ratio - (SQRT3 + 3.0 * ratio_se(other))
         if excess > worst_excess:
@@ -173,7 +179,7 @@ def test_criterion_04_sqrt2_drop_ratio(dropdd_run):
 
 def test_criterion_05_running_max_ratio_one():
     spec = LatticeSpec(h=1.0 / 40.0)
-    run = collect_rewards(Drawdown(1.0), ("max", "terminal_sq"), spec, 100_000, 401)
+    run = collect_rewards(Drawdown(1.0), ("max", "terminal_sq"), spec, 100_000, 401, WORKERS)
     rep = ratio_report_from(run, "max")
     ok = 0.97 <= rep.ratio <= 1.03
     assert report(
@@ -192,7 +198,8 @@ def test_absgap_attains_sqrt2_abs_bound():
     lattice = row.reward_mean(k, 0, 0) / math.sqrt(row.mean(k, 0, 0))
     assert lattice == pytest.approx(math.sqrt(4 * k / (2 * k + 1)), rel=1e-12)
     run = collect_rewards(
-        AbsGap(1.0), (row.reward, "terminal_sq"), LatticeSpec(h=1.0 / k), 100_000, 1601
+        AbsGap(1.0), (row.reward, "terminal_sq"), LatticeSpec(h=1.0 / k), 100_000, 1601,
+        WORKERS,
     )
     rep = ratio_report_from(run, row.reward)
     assert rep.reward_mean.censored == 0
@@ -203,14 +210,14 @@ def test_criterion_06_optimal_payoff_and_sweep():
     c = 1.0
     spec = LatticeSpec(h=1.0 / 40.0)
     run = collect_rewards(
-        Gap(0.5), ("diameter", "stop_time"), spec, 100_000, 501
+        Gap(0.5), ("diameter", "stop_time"), spec, 100_000, 501, WORKERS
     )
     per_trial = run.values["diameter"] - c * run.values["stop_time"]
     st = stats_from_sample(per_trial)
     point_ok = 0.72 <= st.mean <= 0.78
 
     grid = [0.25, 0.5, 0.75, 1.0]
-    sweep = sweep_payoff(c, grid, LatticeSpec(h=1.0 / 160.0), 2_500, 601)
+    sweep = sweep_payoff(c, grid, LatticeSpec(h=1.0 / 160.0), 2_500, 601, WORKERS)
     cell = 0.25
     argmax_ok = abs(sweep.argmax_d - 0.5) <= cell + 1e-12
     curve_ok = True
@@ -256,7 +263,7 @@ def test_criterion_08_exponential_law_of_max_at_drawdown():
     # h = 1/160: the running max at the drawdown stop carries an atom of mass
     # h/(d+h) at zero, which must stay below the KS resolution ~1.63/sqrt(n)
     spec = LatticeSpec(h=1.0 / 160.0)
-    run = collect_rewards(Drawdown(1.0), ("max",), spec, 10_000, 701)
+    run = collect_rewards(Drawdown(1.0), ("max",), spec, 10_000, 701, WORKERS)
     res = gof_test(run.values["max"][run.fired], Exponential(mean=1.0))
     ok = res.p_value > 0.01 and run.censored == 0
     assert report(
@@ -267,12 +274,12 @@ def test_criterion_08_exponential_law_of_max_at_drawdown():
 
 def test_criterion_09_uniform_law_and_vshape_pmf():
     spec = LatticeSpec(h=1.0 / 160.0)
-    uni_run = collect_rewards(DiameterReach(1.0), ("max",), spec, 10_000, 801)
+    uni_run = collect_rewards(DiameterReach(1.0), ("max",), spec, 10_000, 801, WORKERS)
     uni = gof_test(uni_run.values["max"][uni_run.fired], Uniform(hi=1.0))
 
     unit = LatticeSpec(h=1.0)
     chi_run = collect_rewards(
-        DiameterReach(4.0), ("terminal_x",), unit, 10_000, 901
+        DiameterReach(4.0), ("terminal_x",), unit, 10_000, 901, WORKERS
     )
     chi = gof_test(chi_run.values["terminal_x"][chi_run.fired], VShape(hdiam=4))
 
@@ -374,7 +381,7 @@ def test_criterion_11b_stopped_drift_zero(drift_report):
     )
     # the deficit is a lattice artifact: halving h halves it
     finer = drift_check(1.0, 4.0, 10_000, 1102, (0.0, 1.0, 2.0, 3.0, 4.0),
-                        spec=LatticeSpec(h=1.0 / 80.0))
+                        spec=LatticeSpec(h=1.0 / 80.0), workers=WORKERS)
     finer_total = sum(r.mean for r in finer.stopped)
     print(
         f"at h = 1/80 (n=10000) the total drift is {finer_total:+.5f}, "
@@ -395,7 +402,7 @@ def test_criterion_11b_stopped_drift_zero(drift_report):
 
 def test_criterion_12_reflection_identity_at_fixed_time():
     spec = LatticeSpec(h=1.0 / 160.0)
-    drop, abs_x = levy_samples(1.0, spec, 10_000, 1001)
+    drop, abs_x = levy_samples(1.0, spec, 10_000, 1001, WORKERS)
     res = gof_test(drop, Empirical(values=abs_x))
     ok = res.p_value > 0.01
     assert report(

@@ -557,6 +557,8 @@ def test_dist_lattice_mismatch_fails_before_any_run(monkeypatch, capsys):
         ["sweep", "--c", "0"],
         # one trial gives no variance, so no interval
         ["simulate", "--trials", "1"],
+        # two thresholds on one lattice level would print one run twice
+        ["sweep", "--grid", "0.5,0.5", "--trials", "50", "--no-meta"],
     ],
 )
 def test_invalid_parameters_exit_1(argv, capsys):

@@ -1,14 +1,22 @@
-"""Import cost: scipy loads only when a goodness-of-fit test runs, and
-scipy.stats never does.
+"""Import cost: scipy loads only when a goodness-of-fit p-value needs it,
+scipy.stats never does, and the process pool loads only when it starts.
 
 scipy.stats takes most of a second and about 45 MB to import, on top of
-scipy.special.  `gof_test` needs only scipy.special: the VShape chi-square
-test takes its p-value from chdtrc, the KS tests from kolmogorov, smirnov
-and the finite-n KS law ported into `walkstop._ksstats`.  Every command but
-`dist` loads no scipy module at all, so the dynamic program stays
-numpy-only; neither does a rejected input.  `dist` runs the whole battery
-and loads scipy.special alone.  The check runs in a fresh interpreter,
-since the pytest process has already loaded scipy.
+scipy.special.  `gof_test` needs scipy.special at most: the VShape
+chi-square test takes its p-value from chdtrc, the one-sample KS tests from
+kolmogorov (and the exponential CDF from expm1), and the two-sample test
+from the finite-n KS law ported into `walkstop._ksstats`, whose kernels are
+numpy but for 2 * smirnov at large statistics.  So a two-sample test of two
+samples of one law loads no scipy module, and one with D in [1/2, 1)
+loads scipy.special alone.  Every command but `dist` loads no scipy module
+at all, so the dynamic program stays numpy-only; neither does a rejected
+input.  `dist` runs the whole battery and loads scipy.special alone.
+
+`import walkstop` and every run at one worker never load multiprocessing:
+`_map_trials` imports the process pool only when it starts one.
+
+Each check runs in a fresh interpreter, since the pytest process has
+already loaded scipy and the pool.
 """
 
 import ast
@@ -45,6 +53,7 @@ assert not loaded, f"a scipy-free command loaded {loaded[:3]}"
 
 rejected = {
     "a NaN reference sample": (np.arange(4.0), walkstop.Empirical(values=np.array([1.0, np.nan]))),
+    "an infinite sample": (np.array([1.0, 2.0, np.inf]), walkstop.Exponential(mean=1.0)),
     "an off-lattice VShape sample": (np.array([0.5, 1.5, -1.0] * 50), walkstop.VShape(hdiam=2)),
     "a 2-D sample": (np.arange(20.0).reshape(4, 5) + 1, walkstop.Exponential(mean=2.0)),
 }
@@ -77,6 +86,43 @@ assert "scipy.special" in sys.modules, "the test ran without scipy.special"
 assert "scipy.stats" not in sys.modules, "the test loaded scipy.stats"
 """
 
+# Two samples of one law at the Levy-identity check's size: D sits below
+# every smirnov cut of the finite-n law, so no scipy module loads.
+_SAME_LAW_PROBE = """
+import sys
+import numpy as np
+import walkstop
+
+rng = np.random.default_rng(7)
+res = walkstop.gof_test(rng.exponential(size=3500), walkstop.Empirical(rng.exponential(size=3500)))
+assert 3500 / 2 * res.statistic ** 2 < 2.2 and res.p_value > 0.01, res
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, f"a same-law two-sample test loaded {loaded[:3]}"
+"""
+
+# The three Monte Carlo front doors at one worker, then one at two.
+_SERIAL_PROBE = """
+import sys
+import walkstop
+from walkstop import mc_harness
+
+POOL = ("multiprocessing", "concurrent.futures.process")
+
+def loaded(*names):
+    return [m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names)]
+
+assert not loaded(*POOL), "import walkstop loaded the pool"
+spec = walkstop.LatticeSpec(h=0.25)
+walkstop.collect_rewards(walkstop.Gap(1.0), ("max",), spec, 50, 3, workers=1)
+walkstop.levy_samples(1.0, spec, 50, 3, workers=1)
+walkstop.drift_check(1.0, 1.0, 50, 3, (0.0, 1.0), spec=spec, workers=1)
+assert not loaded("scipy", *POOL), f"a serial run loaded {loaded('scipy', *POOL)[:3]}"
+# Two workers even on a one-CPU host, so the pool must start.
+mc_harness._usable_cpus = lambda: 2
+walkstop.collect_rewards(walkstop.Gap(1.0), ("max",), spec, 50, 3, workers=2)
+assert "concurrent.futures.process" in sys.modules, "workers=2 ran without the pool"
+"""
+
 
 def _run_fresh(code):
     src = str(Path(walkstop.__file__).resolve().parent.parent)
@@ -98,11 +144,21 @@ def test_goodness_of_fit_loads_scipy_special_only():
         "walkstop.VShape(hdiam=2)",
         "walkstop.Exponential(mean=2.0)",
         "walkstop.Uniform(hi=3.0)",
-        "walkstop.Empirical(values=np.arange(-2.5, 3.0, 0.1))",
+        # D = 0.709 against the sample: the finite-n law's 2 * smirnov branch
+        # (D >= 1 returns 0 before any kernel)
+        "walkstop.Empirical(values=np.arange(0.5, 6.0, 0.1))",
     ],
 )
 def test_each_gof_target_loads_scipy_special_not_stats(target):
     _run_fresh(_GOF_PROBE.format(target=target))
+
+
+def test_same_law_two_sample_test_loads_no_scipy():
+    _run_fresh(_SAME_LAW_PROBE)
+
+
+def test_serial_runs_never_load_the_process_pool():
+    _run_fresh(_SERIAL_PROBE)
 
 
 # The package's public names, each declared once in its submodule's __all__.

@@ -1,6 +1,7 @@
 """Monte Carlo harness: means against exact lattice values, determinism across
 workers, censoring accounting, the goodness-of-fit battery, and ratio CIs."""
 
+import concurrent.futures
 import dataclasses
 import math
 import re
@@ -218,6 +219,10 @@ def test_stats_from_sample_basics():
             stats_from_sample(np.array(sample))
     st = stats_from_sample(np.array([1.0, np.nan, 3.0]))
     assert (st.n, st.censored, st.variance) == (2, 1, 2.0)
+    # NaN is a censored trial; an infinite value is no trial's value.
+    for sample in ([1.0, 2.0, np.inf], [1.0, np.nan, -np.inf, 2.0]):
+        with pytest.raises(ValueError, match="^sample contains an infinite value$"):
+            stats_from_sample(np.array(sample))
 
 
 def test_ratio_ci_coverage():
@@ -286,7 +291,12 @@ def test_gof_rejects_degenerate_input():
         gof_test(np.array([0.5, 1.5, -1.0] * 50), VShape(hdiam=2))  # off-lattice
     with pytest.raises(ValueError):
         gof_test(np.array([-3.0, 1.0, 2.0] * 50), VShape(hdiam=2))  # out of support
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^sample contains an infinite value$"):
+            gof_test(np.array([1.0, 2.0, bad]), Exponential(mean=1.0))
     sample = np.array([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="^reference sample contains an infinite value$"):
+        gof_test(sample, Empirical(values=np.array([1.0, np.inf])))
     with pytest.raises(ValueError, match="reference sample contains NaN"):
         gof_test(sample, Empirical(values=np.array([1.0, np.nan, 2.0, 5.0])))
     with pytest.raises(ValueError, match="reference sample is empty"):
@@ -424,9 +434,9 @@ def test_estimate_seed_validation():
 
 # --- one-pass sweep, fan-out and stream pins -------------------------------------------
 
-def test_sweep_matches_separate_gap_runs_on_unsorted_duplicate_grid(monkeypatch):
+def test_sweep_matches_separate_gap_runs_on_unsorted_grid(monkeypatch):
     spec = LatticeSpec(h=0.0625)
-    grid = [0.75, 0.25, 0.5, 0.25]
+    grid = [0.75, 0.25, 1.0, 0.5]
 
     def check():
         result = sweep_payoff(1.0, grid, spec, 600, 37)
@@ -996,7 +1006,8 @@ def test_pool_is_capped_at_usable_cpus(monkeypatch):
             mapped.append(len(tasks))
             return map(fn, tasks)
 
-    monkeypatch.setattr(mc_harness, "ProcessPoolExecutor", InlinePool)
+    # _map_trials imports the pool only when it starts one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(mc_harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     one = collect_rewards(Gap(1.0), ("stop_time",), UNIT, 10_000, 7, workers=1)
     assert requested == []
@@ -1041,6 +1052,12 @@ NO_VARIANCE = CollectResult(
          ValueError, "need at least two checkpoints"),
         (lambda: levy_samples(1e-12, UNIT, 10, 0),
          ValueError, "t shorter than one step"),
+        # two thresholds on one lattice level would report one run twice,
+        # also when they differ within the lattice tolerance
+        (lambda: sweep_payoff(1.0, [0.5, 0.25, 0.5], LatticeSpec(h=0.125), 10, 0),
+         ValueError, "d_grid values 0.5 and 0.5 share the lattice level 4 (h = 0.125)"),
+        (lambda: sweep_payoff(1.0, [0.5, 0.5 + 1e-12], LatticeSpec(h=0.125), 10, 0),
+         ValueError, f"d_grid values 0.5 and {0.5 + 1e-12} share the lattice level 4 (h = 0.125)"),
     ],
 )
 def test_rejections_name_the_bad_input(call, error, message):
