@@ -38,7 +38,7 @@ from .mc_harness import (
     stats_from_sample,
     sweep_payoff,
 )
-from .path_engine import LatticeError, LatticeSpec, _require_positive
+from .path_engine import LatticeError, LatticeSpec, _require_int, _require_positive, _require_seed
 from .q_process import QParams, _premium_branches, payoff, q_gap_form, q_value
 from .stopping_rules import _RULES, DiameterReach, Drawdown, rule_units
 
@@ -251,8 +251,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_dist(args):
-    if args.seed + 3 >= 2**64:
-        raise ValueError(f"dist draws seeds seed..seed+3, all below 2**64; got {args.seed}")
+    _require_seed(args.seed + 3, "seed + 3")  # the four tests draw seeds seed..seed + 3
     _require_positive(args.d, "d")  # before the default h derived from it
     _require_positive(args.chi_k, "--chi-k")  # before any run
     h = args.h if args.h is not None else args.d / 160.0
@@ -304,8 +303,7 @@ def _cmd_dist(args):
 def _cmd_qcheck(args):
     c = args.c
     _require_positive(c, "--c")
-    if args.grid < 2:
-        raise ValueError(f"--grid must be >= 2, got {args.grid}")
+    _require_int(args.grid, "--grid", 2)
     n_points = args.grid * args.grid
     rng = np.random.default_rng(args.seed)
     params_q = QParams.optimal(c)
@@ -437,12 +435,12 @@ def _cmd_sweep(args):
         ("d", "mean", "ci_low", "ci_high"),
         [(p["d"], p["mean"], p["ci_low"], p["ci_high"]) for p in curve],
     )
-    d_star = QParams.optimal(c).d
-    cell = max(
-        (abs(b - a) for a, b in zip(sorted(grid), sorted(grid)[1:])), default=0.0
-    )
-    checks = [(not (abs(result.argmax_d - d_star) > cell + 1e-12),
-               f"argmax_d = {result.argmax_d} more than one grid cell from {d_star}")]
+    # The payoff is concave in d, so over the grid it peaks nearest d* = 1/(2c).
+    ds = sorted(grid)
+    target = min(max(QParams.optimal(c).d, ds[0]), ds[-1])
+    cell = max((b - a for a, b in zip(ds, ds[1:])), default=0.0)
+    checks = [(not (abs(result.argmax_d - target) > cell + 1e-12),
+               f"argmax_d = {result.argmax_d} more than one grid cell from {target}")]
     for p in curve:
         exact = _lattice_gap_payoff(c, h, spec.units(p["d"], "d"))
         checks.append((
@@ -527,11 +525,8 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         args.seed = _resolve_seed(args)
-        if not 0 <= args.seed < 2**64:
-            # The stream key holds 64 bits; a larger seed would alias a smaller one.
-            raise ValueError(f"seed must lie in [0, 2**64), got {args.seed}")
-        if getattr(args, "workers", 1) < 1:
-            raise ValueError(f"--workers must be >= 1, got {args.workers}")
+        _require_seed(args.seed)
+        _require_int(args.workers, "--workers", 1)
         params, results, censored, table, checks = _HANDLERS[args.command](args)
     except LatticeError as exc:
         sys.stderr.write(f"{_PROG}: lattice mismatch: {exc}\n")

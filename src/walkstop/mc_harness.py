@@ -21,12 +21,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cache
-from math import ceil, isfinite, sqrt
+from math import ceil, sqrt
 
 import numpy as np
 
 from .exact_walk import _unit_hdiam, walk_diameter_pmf
-from .path_engine import LatticeError, LatticeSpec, _require_int, _require_positive
+from .path_engine import LatticeSpec, _require_int, _require_positive, _require_seed
 from .q_process import QParams, q_value
 from .stopping_rules import (
     _RULES,
@@ -237,10 +237,7 @@ def _expand(codes, x, mx, mn, dr):
 
 def _check_trials(n: int, seed: int) -> None:
     _require_int(n, "n", 1)
-    _require_int(seed, "seed", 0)
-    if seed >= 2**64:
-        # The stream key holds 64 bits; a larger seed would alias a smaller one.
-        raise ValueError(f"seed must be below 2**64, got {seed}")
+    _require_seed(seed)
 
 
 def _trial_task(task):
@@ -443,15 +440,23 @@ def collect_rewards(
     return CollectResult(values=values, fired=fired[:, 0])
 
 
+def _sample(values, name: str) -> np.ndarray:
+    """`values` as a one-dimensional float array with no infinite entry."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if np.isinf(arr).any():
+        raise ValueError(f"{name} contains an infinite value")
+    return arr
+
+
 def stats_from_sample(sample) -> TrialStats:
-    """Pooled moments of a sample; NaN entries count as censored trials.
+    """Pooled moments of a 1-D sample; NaN entries count as censored trials.
 
     At least two trials must contribute: one gives no variance, so no
     interval.  An infinite entry is no trial's value and is rejected.
     """
-    arr = np.asarray(sample, dtype=float)
-    if np.isinf(arr).any():
-        raise ValueError("sample contains an infinite value")
+    arr = _sample(sample, "sample")
     finite = arr[~np.isnan(arr)]
     m = int(finite.size)
     if m < 1:
@@ -549,19 +554,14 @@ class Empirical:
 class GofResult:
     statistic: float
     p_value: float
-    kind: str
 
 
 def _finite_sample(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    arr = _sample(values, name)
     if arr.size == 0:
         raise ValueError(f"{name} is empty")
     if np.isnan(arr).any():
         raise ValueError(f"{name} contains NaN (censored trials must be excluded)")
-    if np.isinf(arr).any():
-        raise ValueError(f"{name} contains an infinite value")
     return arr
 
 
@@ -601,7 +601,7 @@ def gof_test(sample, target) -> GofResult:
         from scipy.special import chdtrc
 
         stat = np.sum((counts - expected) ** 2 / expected)
-        return GofResult(float(stat), float(chdtrc(counts.size - 1.0, stat)), "chisquare_vshape")
+        return GofResult(float(stat), float(chdtrc(counts.size - 1.0, stat)))
     if isinstance(target, Empirical):
         ref = _finite_sample(target.values, "reference sample")
     elif not isinstance(target, (Exponential, Uniform)):
@@ -610,10 +610,10 @@ def gof_test(sample, target) -> GofResult:
     from ._ksstats import expon_cdf, ks_1samp, ks_2samp, uniform_cdf
 
     if isinstance(target, Exponential):
-        return GofResult(*ks_1samp(arr / target.mean, expon_cdf), "ks_exponential")
+        return GofResult(*ks_1samp(arr / target.mean, expon_cdf))
     if isinstance(target, Uniform):
-        return GofResult(*ks_1samp(arr / target.hi, uniform_cdf), "ks_uniform")
-    return GofResult(*ks_2samp(arr, ref), "ks_two_sample")
+        return GofResult(*ks_1samp(arr / target.hi, uniform_cdf))
+    return GofResult(*ks_2samp(arr, ref))
 
 
 # --- drift checks ----------------------------------------------------------
@@ -647,19 +647,6 @@ class DriftReport:
     unstopped: tuple[DriftRow, ...]
     stopped: tuple[DriftRow, ...]
     q_origin: float
-
-
-def _time_units(t: float, spec: LatticeSpec, name: str) -> int:
-    if not isfinite(t):
-        raise ValueError(f"{name} must be finite, got {t}")
-    steps = t / spec.time_per_step
-    rounded = round(steps)
-    if abs(steps - rounded) > 1e-9 * max(1.0, abs(steps)):
-        raise LatticeError(
-            f"{name}={t} is not an integer number of steps (step time "
-            f"{spec.time_per_step})"
-        )
-    return int(rounded)
 
 
 def _fixed_time_chunk(
@@ -739,15 +726,15 @@ def drift_check(
     that differ only in `horizon` return the same report.
     """
     params = QParams.optimal(c)
-    if not (horizon > 0.0):
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    _require_positive(horizon, "horizon")
     _require_int(n, "n", 2)
     _check_trials(n, seed)
     d = params.d
     if spec is None:
         spec = LatticeSpec(h=d / 20.0)
     k = spec.units(d, "d")
-    if _time_units(horizon, spec, "horizon") < 1:
+    clock = LatticeSpec(h=spec.time_per_step)
+    if clock.units(horizon, "horizon") < 1:
         raise ValueError("horizon shorter than one step")
 
     cps = tuple(float(t) for t in checkpoints)
@@ -755,7 +742,7 @@ def drift_check(
         raise ValueError("need at least two checkpoints")
     if cps[0] < 0.0 or cps[-1] > horizon + 1e-12:
         raise ValueError(f"checkpoints must lie in [0, horizon], got {cps}")
-    cp_units = tuple(_time_units(t, spec, "checkpoint") for t in cps)
+    cp_units = tuple(clock.units(t, "checkpoint") for t in cps)
     if any(b <= a for a, b in zip(cp_units, cp_units[1:])):
         raise ValueError(f"checkpoints must be strictly increasing steps, got {cps}")
 
@@ -804,7 +791,7 @@ def levy_samples(
     for a two-sample test of their (continuum-identical) laws.
     """
     _check_trials(n, seed)
-    n_steps = _time_units(t, spec, "t")
+    n_steps = LatticeSpec(h=spec.time_per_step).units(t, "t")
     if n_steps < 1:
         raise ValueError("t shorter than one step")
     x, top, _ = _map_trials(_fixed_time_chunk, 2 * n, workers, seed, (n_steps,))

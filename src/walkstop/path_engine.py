@@ -33,6 +33,13 @@ def _require_int(value, name: str, low: int) -> None:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
+def _require_seed(seed, name: str = "seed") -> None:
+    # The stream key holds 64 bits; a larger seed would alias a smaller one.
+    _require_int(seed, name, 0)
+    if seed >= 2**64:
+        raise ValueError(f"{name} must be below 2**64, got {seed}")
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Spatial step h of the walk; every step advances time by h**2."""
@@ -50,7 +57,9 @@ class LatticeSpec:
         """Convert a real level to lattice units, requiring an exact multiple.
 
         Raises ValueError when `level` is not finite, and LatticeError when
-        it is not an integer multiple of h (relative tolerance 1e-9).
+        |k * h - level| > 1e-9 * max(1, |level|) for k = round(level / h),
+        relative at |level| >= 1 and absolute below.  Times round by this same
+        rule on the time lattice, `LatticeSpec(h=spec.time_per_step)`.
         """
         if not math.isfinite(level):
             raise ValueError(f"{name} must be finite, got {level!r}")

@@ -254,9 +254,20 @@ def test_sweep_csv_curve(capsys):
         assert float(row[2]) <= float(row[1]) <= float(row[3])
 
 
-def test_sweep_assert_failure_exits_2_after_output(capsys):
+def _with_argmax(d):
+    """sweep_payoff with its reported argmax replaced by d."""
+
+    def sweep(*args):
+        return dataclasses.replace(mc_harness.sweep_payoff(*args), argmax_d=d)
+
+    return sweep
+
+
+def test_sweep_assert_failure_exits_2_after_output(monkeypatch, capsys):
+    # an argmax two grid cells from d* = 0.5 on the default grid
+    monkeypatch.setattr(cli, "sweep_payoff", _with_argmax(1.0))
     code, out, err = run_cli(
-        ["sweep", "--grid", "1.0", "--trials", "300", "--seed", "5",
+        ["sweep", "--h", "0.0625", "--trials", "300", "--seed", "5",
          "--assert", "--no-meta"],
         capsys,
     )
@@ -265,6 +276,27 @@ def test_sweep_assert_failure_exits_2_after_output(capsys):
     payload = json.loads(out)
     assert payload["results"]["argmax_d"] == 1.0
     assert "check failed" in err and "argmax_d" in err
+    assert "walkstop: check failed: argmax_d = 1.0 more than one grid cell from 0.5\n" in err
+
+
+def test_sweep_assert_fails_far_from_the_clipped_optimum(monkeypatch, capsys):
+    # the grid lies above d* = 0.5, so the target is its lowest point, 1.0
+    monkeypatch.setattr(cli, "sweep_payoff", _with_argmax(1.5))
+    code, out, err = run_cli(
+        ["sweep", "--grid", "1.0,1.25,1.5", "--h", "0.0625", "--trials", "300",
+         "--seed", "5", "--assert", "--no-meta"],
+        capsys,
+    )
+    assert code == 2 and json.loads(out)["results"]["argmax_d"] == 1.5
+    assert "walkstop: check failed: argmax_d = 1.5 more than one grid cell from 1.0\n" in err
+
+
+@pytest.mark.parametrize("grid", ["0.1,0.2", "1.0,1.25", "0.25"])
+def test_sweep_assert_passes_grids_that_miss_the_optimum(grid, capsys):
+    """The payoff is concave in d, so over a grid that misses d* = 1/(2c) it
+    peaks at the grid's end nearest d*; the argmax is judged against that."""
+    code, out, err = run_cli(["sweep", "--grid", grid, "--trials", "2000", "--no-meta", "--assert"], capsys)
+    assert code == 0, err
 
 
 # --- every documented check can fail --------------------------------------------
@@ -729,6 +761,22 @@ def test_output_bytes_identical_across_workers(tmp_path, capsys):
     code, _, _ = run_cli(base + ["--workers", "2", "--out", str(two)], capsys)
     assert code == 0
     assert one.read_bytes() == two.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--trials", "10", "--seed", "-3"], "seed must be >= 0, got -3"),
+        (["sweep", "--grid", "0.5", "--trials", "10", "--seed", str(2**64)],
+         f"seed must be below 2**64, got {2**64}"),
+        # dist also draws from seed + 1 .. seed + 3
+        (["dist", "--seed", str(2**64 - 3)], f"seed + 3 must be below 2**64, got {2**64}"),
+    ],
+)
+def test_seed_range_messages(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"walkstop: invalid parameters: {message}\n"
 
 
 def test_seed_beyond_64_bits_exits_1(capsys):

@@ -189,83 +189,124 @@ def test_public_names_are_declared_once_per_submodule():
     assert set(names) == {"__version__"} | expected
 
 
+_PACKAGE = Path(walkstop.__file__).resolve().parent
+
+
+def _nodes():
+    """(module file, owner, node) for every node of the package's syntax
+    trees.  The owner is the dotted name of the innermost def or class
+    around the node ("LatticeSpec.units"), or "<module>" at the top level.
+    Every guard below that a rule is written once reads the package here."""
+    for path in sorted(_PACKAGE.glob("*.py")):
+        todo = [(ast.parse(path.read_text()), "<module>")]
+        while todo:
+            node, owner = todo.pop()
+            for child in ast.iter_child_nodes(node):
+                yield path.name, owner, child
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    todo.append((child, child.name if owner == "<module>" else f"{owner}.{child.name}"))
+                else:
+                    todo.append((child, owner))
+
+
+def _owners(hit):
+    """(module file, owner) of every node for which hit(node) holds, sorted."""
+    return sorted((name, owner) for name, owner, node in _nodes() if hit(node))
+
+
+def _word(node):
+    """The name a node spells: a Name's id, an Attribute's attr, a def's name."""
+    return next((getattr(node, f) for f in ("attr", "id", "name") if hasattr(node, f)), None)
+
+
+def _code(node, kind):
+    """The node's source as `ast.unparse` writes it, if it is of `kind`."""
+    return ast.unparse(node) if isinstance(node, kind) else ""
+
+
+def _names():
+    return {_word(node) for _, _, node in _nodes()}
+
+
 def test_positivity_check_is_written_once():
     """`0 < x < inf` lives only in `path_engine._require_positive`.
 
     FirstExit's two-sided `-inf < lo < 0 < hi < inf` is a different check.
     """
     check = re.compile(r"(?<!< )0\.0 < [\w.]+ < [\w.]*inf\b")
-    found = []
-    for path in sorted(Path(walkstop.__file__).resolve().parent.glob("*.py")):
-        owner = None
-        for line in path.read_text().splitlines():
-            top = re.match(r"(?:def|class) (\w+)", line)
-            owner = top.group(1) if top else owner
-            if check.search(line):
-                found.append((path.name, owner))
+    found = _owners(lambda node: check.search(_code(node, ast.Compare)))
     assert found == [("path_engine.py", "_require_positive")]
 
 
 def test_integer_check_is_written_once():
-    """Every count argument (n, seed, workers, max_steps, cap) is checked by
-    `path_engine._require_int`: across the package only it names `Integral`."""
-    owners = []
-    for path in sorted(Path(walkstop.__file__).resolve().parent.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                if "Integral" in (getattr(node, f, None) for f in ("attr", "id", "name")):
-                    owners.append((path.name, getattr(top, "name", "<module>")))
+    """Every count argument (n, seed, workers, max_steps, cap, --grid) is
+    checked by `path_engine._require_int`: across the package only it names
+    `Integral`."""
+    owners = _owners(lambda node: _word(node) == "Integral")
     assert owners == [("path_engine.py", "_require_int")]
+
+
+def test_seed_range_is_written_once():
+    """The 64-bit stream key's range lives only in `path_engine._require_seed`:
+    across the package only it writes `2**64`, and `_check_trials`, the CLI's
+    `main` and `dist` call it."""
+    owners = _owners(lambda node: _code(node, ast.BinOp) == "2 ** 64")
+    assert owners == [("path_engine.py", "_require_seed")]
+    callers = _owners(lambda node: isinstance(node, ast.Call) and _word(node.func) == "_require_seed")
+    assert callers == [("cli.py", "_cmd_dist"), ("cli.py", "main"), ("mc_harness.py", "_check_trials")]
+
+
+def test_lattice_rounding_is_written_once():
+    """Levels and times round to whole steps by one rule, in
+    `LatticeSpec.units`: across the package only it writes the tolerance
+    `1e-9 * max(1.0, ...)` (which `ast.unparse` spells 1e-09), and the
+    second rule for times, `_time_units`, is gone."""
+    owners = _owners(lambda node: _code(node, ast.BinOp).startswith("1e-09 * max(1.0,"))
+    assert owners == [("path_engine.py", "LatticeSpec.units")]
+    assert "_time_units" not in _names()
+
+
+def test_sample_shape_check_is_written_once():
+    """A sample is one-dimensional by one check, `mc_harness._sample`, which
+    serves both `stats_from_sample` and `gof_test`'s `_finite_sample`."""
+    owners = _owners(lambda node: _code(node, ast.Compare).endswith(".ndim != 1"))
+    assert owners == [("mc_harness.py", "_sample")]
+    callers = _owners(lambda node: isinstance(node, ast.Call) and _word(node.func) == "_sample")
+    assert callers == [("mc_harness.py", "_finite_sample"), ("mc_harness.py", "stats_from_sample")]
 
 
 def test_optimal_threshold_is_written_once():
     """d* = 1/(2c) lives only in `QParams.optimal`; every other user reads
     it from there.  `closed_forms` also writes 1/(2c), as the optimal
     drop-drawdown payoff `payoff_plus_opt`, which happens to equal it."""
-    found = []
-    for path in sorted(Path(walkstop.__file__).resolve().parent.glob("*.py")):
-        owner = None
-        for line in path.read_text().splitlines():
-            top = re.match(r"\s*(?:def|class) (\w+)", line)
-            owner = top.group(1) if top else owner
-            if "1.0 / (2.0 * c)" in line:
-                found.append((path.name, owner))
-    assert found == [("exact_walk.py", "closed_forms"), ("q_process.py", "optimal")]
+    found = _owners(lambda node: _code(node, ast.BinOp) == "1.0 / (2.0 * c)")
+    assert found == [("exact_walk.py", "closed_forms"), ("q_process.py", "QParams.optimal")]
 
 
 def test_philox_stream_is_read_only_in_steps():
     """The step format has one home, `mc_harness._Steps`: across the package
     only it builds a Philox bit generator, writes its key or counter or
     calls `random_raw`, and the scans see 16-step codes alone."""
-    owners, names = [], set()
-    for path in sorted(Path(walkstop.__file__).resolve().parent.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                word = next(
-                    (getattr(node, f) for f in ("attr", "id", "name") if hasattr(node, f)), None
-                )
-                names.add(word)
-                if word in {"Philox", "random_raw", "_key", "_counter"}:
-                    owners.append((path.name, getattr(top, "name", "<module>"), word))
-    assert sorted(set(owners)) == [
-        ("mc_harness.py", "_Steps", "Philox"),
-        ("mc_harness.py", "_Steps", "_counter"),
-        ("mc_harness.py", "_Steps", "_key"),
-        ("mc_harness.py", "_Steps", "random_raw"),
+    owners = {
+        (*owner, word)
+        for word in ("Philox", "random_raw", "_key", "_counter")
+        for owner in _owners(lambda node: _word(node) == word)
+    }
+    assert sorted(owners) == [
+        ("mc_harness.py", "_Steps.__init__", "Philox"),
+        ("mc_harness.py", "_Steps.__init__", "_counter"),
+        ("mc_harness.py", "_Steps.__init__", "_key"),
+        ("mc_harness.py", "_Steps.codes", "_counter"),
+        ("mc_harness.py", "_Steps.codes", "_key"),
+        ("mc_harness.py", "_Steps.codes", "random_raw"),
     ]
-    assert "_codes" not in names
+    assert "_codes" not in _names()
 
 
 def test_block_hint_callers_are_run_chunk_and_run_until_stop():
     """Both first-passage scans size their first block from `_block_hint`:
     across the package its callers are exactly `_run_chunk`, the batched
     engine, and `run_until_stop`, and no other block constant is left."""
-    callers, names = [], set()
-    for path in sorted(Path(walkstop.__file__).resolve().parent.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                names.add(getattr(node, "id", None))
-                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_block_hint":
-                    callers.append(getattr(top, "name", "<module>"))
-    assert sorted(callers) == ["_run_chunk", "run_until_stop"]
-    assert not names & {"_FIRST_BLOCK", "_MAX_BLOCK"}
+    callers = _owners(lambda node: isinstance(node, ast.Call) and _word(node.func) == "_block_hint")
+    assert callers == [("mc_harness.py", "_run_chunk"), ("stopping_rules.py", "run_until_stop")]
+    assert not _names() & {"_FIRST_BLOCK", "_MAX_BLOCK"}

@@ -223,6 +223,12 @@ def test_stats_from_sample_basics():
     for sample in ([1.0, 2.0, np.inf], [1.0, np.nan, -np.inf, 2.0]):
         with pytest.raises(ValueError, match="^sample contains an infinite value$"):
             stats_from_sample(np.array(sample))
+    # A sample is one-dimensional, as gof_test's: a grid is not pooled, and a
+    # bare number is no sample.
+    for sample, shape in ((np.arange(6.0).reshape(2, 3), (2, 3)), (3.0, ())):
+        with pytest.raises(ValueError) as info:
+            stats_from_sample(sample)
+        assert str(info.value) == f"sample must be one-dimensional, got shape {shape}"
 
 
 def test_ratio_ci_coverage():
@@ -365,6 +371,10 @@ def test_levy_samples_shapes_and_lattice():
     assert np.array_equal(drop, again[0]) and np.array_equal(abs_x, again[1])
     with pytest.raises(LatticeError):
         levy_samples(0.3, spec, 100, 7)  # 0.3/h^2 is not an integer step count
+    # Times round by LatticeSpec.units' rule on the time lattice, step h^2.
+    with pytest.raises(LatticeError) as info:
+        levy_samples(0.035, LatticeSpec(h=0.1), 100, 7)
+    assert str(info.value) == f"t=0.035 is not an integer multiple of h={0.1 * 0.1!r}"
 
 
 def test_levy_ensembles_are_disjoint_streams():
@@ -1039,13 +1049,15 @@ NO_VARIANCE = CollectResult(
         (lambda: gof_test(np.arange(5.0), NOT_A_TARGET),
          TypeError, f"unknown target {NOT_A_TARGET!r}"),
         (lambda: drift_check(1.0, 0.0, 10, 0, (0.0, 1.0)),
-         ValueError, "horizon must be positive, got 0.0"),
+         ValueError, "horizon must be positive and finite, got 0.0"),
+        (lambda: drift_check(1.0, math.inf, 10, 0, (0.0, 1.0)),
+         ValueError, "horizon must be positive and finite, got inf"),
         (lambda: drift_check(1.0, 1.0, 1, 0, (0.0, 1.0)),
          ValueError, "n must be >= 2, got 1"),
         (lambda: drift_check(1.0, 1.0, 1.5, 0, (0.0, 1.0)),
          ValueError, "n must be an integer, got 1.5"),
-        # at h = 1/2 a step takes time 1/4, so 1e-12 rounds to 0 steps (at the
-        # default h = 1/40 it is off the time lattice instead)
+        # at h = 1/2 a step takes time 1/4, so 1e-12 rounds to 0 steps (so it
+        # does at the default h = 1/40: within 1e-9 of 0 on the time lattice)
         (lambda: drift_check(1.0, 1e-12, 10, 0, (0.0, 1e-12), spec=LatticeSpec(h=0.5)),
          ValueError, "horizon shorter than one step"),
         (lambda: drift_check(1.0, 1.0, 10, 0, (1.0,)),
