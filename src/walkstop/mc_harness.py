@@ -297,13 +297,13 @@ def _run_chunk(
     of 16; blocks then double up to _SLICE.  A block is read as 16-step
     chunks: the state at each chunk's start is exact, continued from the
     state carried from the row's last block, so results never depend on the
-    block split.  The rule's chunk score, taken once per sub-batch, picks
-    each row's chunks whose score reaches the threshold of its first rule
-    yet to fire; each is expanded once, in order, and every threshold yet
-    to fire that the running max of the rule's level reaches there fires at
-    the first step it does.  A trial records its state at each rule's first
-    firing step and leaves when the last rule fires; rule i is censored
-    when that step exceeds guards[i].  Results have shape (hi - lo, len(rules)).
+    block split.  Each pass expands, for every row still walking, the first
+    chunk whose score reaches the threshold of its first rule yet to fire; each
+    rule yet to fire whose threshold the running max of the level reaches there
+    fires at the first step it does, and the chunk's score becomes -1, below
+    every threshold.  A trial records its state at each rule's first firing
+    step and leaves when the last rule fires; rule i is censored when that step
+    exceeds guards[i].  Results have shape (hi - lo, len(rules)).
     """
     units = [rule_units(rule, spec) for rule in rules]
     kind, _, klo, khi = units[0]
@@ -322,7 +322,6 @@ def _run_chunk(
     block = min(-(-_block_hint(*units[-1]) // 16) * 16, _SLICE)
     while live.size and walked < max(guards):
         batch = max(1, _BATCH_STEPS // block)
-        walking = []
         for a in range(0, live.size, batch):
             idx = live[a : a + batch]
             codes = stream.codes((lo + idx).tolist(), walked, block // 16)
@@ -338,14 +337,14 @@ def _run_chunk(
                 dr = _scan(cdrop[idx], fall, np.maximum)
             score = row.score(klo, khi, x[:, :-1], mx[:, :-1], mn[:, :-1],
                               dr[:, :-1] if need_drop else None, up, down, dd, ri)
-            todo = pending[idx]
-            cand = score >= ks[todo, None]
-            # Expand each row's candidate chunks in order until its last
-            # rule fires.
-            at = cand.argmax(axis=1)
-            look = np.flatnonzero(cand[np.arange(idx.size), at])
-            while look.size:
-                c = at[look]
+            # A chunk before the one expanded stays below every later threshold.
+            todo, look = pending[idx], np.arange(idx.size)
+            while True:
+                cand = score[look] >= ks[todo[look], None]
+                hit = cand.any(axis=1)
+                if not hit.any():
+                    break
+                look, c = look[hit], cand[hit].argmax(axis=1)
                 pos, rmax, rmin, drop_run = _expand(
                     codes[look, c], x[look, c], mx[look, c], mn[look, c],
                     dr[look, c] if need_drop else None,
@@ -364,22 +363,14 @@ def _run_chunk(
                 imin[t, i] = rmin[r, j]
                 if need_drop:
                     idrop[t, i] = drop_run[r, j]
-                cand[look, c] = False
-                moved = now > todo[look]
-                todo[look[moved]] = now[moved]
-                # A row whose first rule yet to fire moved keeps only the later
-                # candidates whose score reaches that rule's (higher) threshold.
-                arm = look[moved & (now < u)]
-                cand[arm] &= score[arm] >= ks[todo[arm], None]
+                score[look, c] = -1
+                todo[look] = np.maximum(todo[look], now)
                 look = look[todo[look] < u]
-                at[look] = cand[look].argmax(axis=1)
-                look = look[cand[look, at[look]]]
             cx[idx], cmax[idx], cmin[idx] = x[:, -1], mx[:, -1], mn[:, -1]
             if need_drop:
                 cdrop[idx] = dr[:, -1]
             pending[idx] = todo
-            walking.append(idx[todo < u])
-        live = np.concatenate(walking)
+        live = live[pending[live] < u]
         walked += block
         block = min(2 * block, _SLICE)
     fired = (steps > 0) & (steps <= np.array(guards))
@@ -721,9 +712,9 @@ def drift_check(
     time.  The frozen process reads that firing from `collect_rewards` of
     Gap(d), which walks the same (seed, trial) streams.
 
-    `horizon` only bounds the checkpoints, which must lie in [0, horizon]:
-    paths are walked to the last checkpoint, never beyond it, so two calls
-    that differ only in `horizon` return the same report.
+    `horizon` only bounds the checkpoints, which must lie in [0, horizon]
+    in steps: paths are walked to the last checkpoint, never beyond it, so
+    two calls that differ only in `horizon` return the same report.
     """
     params = QParams.optimal(c)
     _require_positive(horizon, "horizon")
@@ -734,15 +725,16 @@ def drift_check(
         spec = LatticeSpec(h=d / 20.0)
     k = spec.units(d, "d")
     clock = LatticeSpec(h=spec.time_per_step)
-    if clock.units(horizon, "horizon") < 1:
+    horizon_units = clock.units(horizon, "horizon")
+    if horizon_units < 1:
         raise ValueError("horizon shorter than one step")
 
     cps = tuple(float(t) for t in checkpoints)
     if len(cps) < 2:
         raise ValueError("need at least two checkpoints")
-    if cps[0] < 0.0 or cps[-1] > horizon + 1e-12:
-        raise ValueError(f"checkpoints must lie in [0, horizon], got {cps}")
     cp_units = tuple(clock.units(t, "checkpoint") for t in cps)
+    if cp_units[0] < 0 or cp_units[-1] > horizon_units:
+        raise ValueError(f"checkpoints must lie in [0, horizon], got {cps}")
     if any(b <= a for a, b in zip(cp_units, cp_units[1:])):
         raise ValueError(f"checkpoints must be strictly increasing steps, got {cps}")
 

@@ -154,6 +154,7 @@ class _Rule:
     and `dd`/`ri` its largest fall below and rise above an earlier position
     of the chunk.  The score is the chunk's largest level for drawdown,
     rise, diameter and exit, and a bound on it for gap, dropdd and absgap.
+    It is a fresh array: the batched scan writes -1 into it.
     """
 
     cls: type

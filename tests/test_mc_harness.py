@@ -407,6 +407,19 @@ def test_drift_check_structure_and_validation():
         drift_check(1.0, 1.0, 100, 3, (0.0, 1e-12, 1.0), spec=LatticeSpec(h=0.1))
 
 
+def test_drift_check_compares_checkpoints_with_the_horizon_in_steps():
+    """A checkpoint that rounds to the horizon's step count lies within it,
+    and one a step past it does not."""
+    spec = LatticeSpec(h=0.5)  # a step takes time 1/4
+    cps = (0.0, 1000.0 + 1e-10)  # both times round to step 4000
+    report = drift_check(1.0, 1000.0, 10, 0, cps, spec=spec)
+    assert report == drift_check(1.0, 1000.0 + 1e-10, 10, 0, cps, spec=spec)
+    for bad in ((0.0, 1000.25), (-0.25, 1000.0)):
+        with pytest.raises(ValueError) as info:
+            drift_check(1.0, 1000.0, 10, 0, bad, spec=spec)
+        assert str(info.value) == f"checkpoints must lie in [0, horizon], got {bad}"
+
+
 def test_drift_check_deterministic():
     a = drift_check(1.0, 1.0, 300, 17, (0.0, 1.0), spec=LatticeSpec(h=0.125))
     b = drift_check(1.0, 1.0, 300, 17, (0.0, 1.0), spec=LatticeSpec(h=0.125))
@@ -818,6 +831,8 @@ def test_chunk_tests_bound_the_firing_predicate(kind):
             k, khi = 0, t
         top = row.level(klo, khi, *walk).max(axis=1)
         score = row.score(klo, khi, x, mx, mn, dr, up, down, dd, ri)
+        # _run_chunk writes into the score, so it must own its memory.
+        assert not any(np.shares_memory(score, a) for a in (x, mx, mn, dr, up, down, dd, ri))
         assert (score >= top).all(), t
         if kind in ("drawdown", "rise", "diameter", "exit"):
             assert np.array_equal(score, top), t
@@ -871,7 +886,8 @@ def test_nested_gap_chain_passes_over_candidate_chunks_that_do_not_fire(monkeypa
     """Gap's chunk score is only a bound: in some candidate chunks both
     extremes are d away, but never at one step.  Those chunks are expanded
     and passed over, and every threshold of the chain still fires where a
-    step-by-step run of it does."""
+    step-by-step run of it does.  Walked alone, no trial expands a chunk
+    twice, and the batch expands just the chunks its trials do alone."""
     spec = LatticeSpec(h=1.0 / 32)
     ks, guards = (3, 5, 8), (16 * 5 + 7, 16 * 20 + 7, 16 * 40 + 7)
     rules = tuple(Gap(k * spec.h) for k in ks)
@@ -887,12 +903,27 @@ def test_nested_gap_chain_passes_over_candidate_chunks_that_do_not_fire(monkeypa
         misses.append(int((out.max(axis=1) < ks[0]).sum()))
         return out
 
+    expand, seen = mc_harness._expand, []
+
+    def probe(codes, x, mx, mn, dr):
+        # A chunk-start state and code name the chunk within its trial.
+        seen.extend(zip(*(a.tolist() for a in (codes, x, mx, mn))))
+        return expand(codes, x, mx, mn, dr)
+
     monkeypatch.setitem(_RULES, "gap", dataclasses.replace(gap, level=level))
     monkeypatch.setattr(mc_harness, "_block_hint", lambda *units: 16)
+    monkeypatch.setattr(mc_harness, "_expand", probe)
     fired, diameter, stop_time = _run_chunk(
         0, n, rules, guards, spec, seed, ("diameter", "stop_time")
     )
     assert sum(misses) > 0
+    batch, alone = seen[:], []
+    for t in range(n):
+        seen.clear()
+        _run_chunk(t, t + 1, rules, guards, spec, seed, ("diameter", "stop_time"))
+        assert len(set(seen)) == len(seen), t
+        alone.extend(seen)
+    assert sorted(batch) == sorted(alone)
     for i, (ok, values) in enumerate(reference):
         assert ok.any()
         assert fired[:, i].tobytes() == ok.tobytes()
